@@ -20,10 +20,11 @@ from .deployment import (Deployment, FieldSpec, Node, NodeKind, Position,
                          build_grid_deployment, deploy_grid_heads,
                          deploy_random_normals, deployment_from_text,
                          deployment_to_text, place_nodes)
-from .errors import (DegenerateWindowError, LengthMismatchError,
-                     MissingTracingPointError, NoHeadsError, NoPlateauError,
-                     NotPositiveDefiniteError, OutOfFieldError,
-                     SimulationError, SweepInvariantError, UnknownNodeError)
+from .errors import (DegenerateWindowError, DuplicateNodeError,
+                     LengthMismatchError, MissingTracingPointError,
+                     NoHeadsError, NoPlateauError, NotPositiveDefiniteError,
+                     OutOfFieldError, SimulationError, SweepInvariantError,
+                     UnknownNodeError)
 from .experiments import (ExperimentConfig, SweepPoint, SweepResult,
                           circle_cluster, default_config, find_optimal_cluster,
                           grid_cluster, run_experiment_csv, run_experiment_json,
@@ -59,7 +60,7 @@ __all__ = [
     "run_experiment_csv", "run_experiment_json",
     # errors
     "SimulationError", "LengthMismatchError", "DegenerateWindowError",
-    "OutOfFieldError", "NoHeadsError", "UnknownNodeError",
+    "OutOfFieldError", "DuplicateNodeError", "NoHeadsError", "UnknownNodeError",
     "NotPositiveDefiniteError", "MissingTracingPointError", "NoPlateauError",
     "SweepInvariantError",
 ]

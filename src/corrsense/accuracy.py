@@ -55,6 +55,9 @@ class NoiseModel:
     power: float = 1.0
 
     def __post_init__(self):
+        for name in ("sigma_s2", "sigma_n2", "sigma_nt2", "sigma_nch2", "power"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.sigma_s2 > 0:
             raise ValueError("sigma_s2 must be positive")
         if min(self.sigma_n2, self.sigma_nt2, self.sigma_nch2) < 0:

@@ -9,11 +9,11 @@ accuracy estimators consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .deployment import Deployment, Position, TracingPoint
+from .deployment import Deployment, Node, Position, TracingPoint
 from .errors import NoHeadsError, UnknownNodeError
 from .spatial_stats import CorrelationParams, kernel
 
@@ -38,24 +38,53 @@ class ClusterAssignment:
         return {c.head_id: c for c in self.clusters}
 
 
+# Normals per block of the normals x heads distance matrix in
+# assign_clusters; bounds its temporaries to a few MB at any field size.
+_ASSIGN_CHUNK = 256
+# np.hypot (the C library's) and math.hypot can round one distance an ulp
+# apart, so a head this many ulps from a node's nearest is a near-tie that
+# math.hypot re-decides.
+_TIE_ULPS = 16
+
+
 def assign_clusters(deployment: Deployment) -> ClusterAssignment:
     """Assign each normal node to its nearest cluster head.
 
     Deterministic and idempotent; ties go to the lowest head id, and heads
     with no members stay as m = 1 clusters since the head still senses on
     its own. Distances use hypot, not squared sums, so subnormal offsets
-    cannot underflow into false ties.
+    cannot underflow into false ties; a node's distances to all heads are
+    computed together with np.hypot, and near-ties are ranked by
+    math.hypot, so the partition is the one Position.distance_to gives.
     """
     if not deployment.heads:
         raise NoHeadsError("deployment has no cluster heads")
     heads = sorted(deployment.heads, key=lambda n: n.id)
-    members: Dict[int, list] = {h.id: [] for h in heads}
-    for node in sorted(deployment.normals, key=lambda n: n.id):
-        best = min(heads, key=lambda h: node.position.distance_to(h.position))
-        members[best.id].append(node.id)
+    normals = sorted(deployment.normals, key=lambda n: n.id)
+    hx, hy = _coordinates(heads)
+    nx, ny = _coordinates(normals)
+    members: List[List[int]] = [[] for _ in heads]
+    for lo in range(0, len(normals), _ASSIGN_CHUNK):
+        dist = nx[lo:lo + _ASSIGN_CHUNK, None] - hx
+        np.hypot(dist, ny[lo:lo + _ASSIGN_CHUNK, None] - hy, out=dist)
+        nearest = dist.argmin(axis=1)
+        dmin = dist.min(axis=1)
+        near = dist <= (dmin + _TIE_ULPS * np.spacing(dmin))[:, None]
+        for row in np.flatnonzero(np.count_nonzero(near, axis=1) > 1):
+            node = normals[lo + row]
+            nearest[row] = min(np.flatnonzero(near[row]), key=lambda k: (
+                node.position.distance_to(heads[k].position)))
+        for node, k in zip(normals[lo:lo + _ASSIGN_CHUNK], nearest.tolist()):
+            members[k].append(node.id)
     return ClusterAssignment(tuple(
-        Cluster(head_id=h.id, members=tuple(members[h.id])) for h in heads
+        Cluster(head_id=h.id, members=tuple(ids)) for h, ids in zip(heads, members)
     ))
+
+
+def _coordinates(nodes: Sequence[Node]) -> Tuple[np.ndarray, np.ndarray]:
+    """x and y coordinate arrays of `nodes`, in the given order."""
+    return (np.fromiter((n.position.x for n in nodes), float, len(nodes)),
+            np.fromiter((n.position.y for n in nodes), float, len(nodes)))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import OutOfFieldError
+from .errors import DuplicateNodeError, OutOfFieldError
 
 RNG_NAME = "numpy-pcg64"  # recorded in report metadata for replication
 
@@ -95,24 +95,31 @@ class Deployment:
         for tp in self.tracing_points:
             if not self.field.contains(tp.position.x, tp.position.y):
                 raise OutOfFieldError(f"tracing point {tp.id}")
+        # id -> item maps, built once; object.__setattr__ because the
+        # dataclass is frozen (they are not fields, so eq/repr ignore them)
+        object.__setattr__(self, "_heads", _index_by_id(self.heads, "head"))
+        object.__setattr__(self, "_normals", _index_by_id(self.normals, "normal"))
+        object.__setattr__(self, "_tracing_points",
+                           _index_by_id(self.tracing_points, "tracing point"))
 
     def head_by_id(self, head_id: int) -> Node:
-        for node in self.heads:
-            if node.id == head_id:
-                return node
-        raise KeyError(head_id)
+        return self._heads[head_id]
 
     def normal_by_id(self, normal_id: int) -> Node:
-        for node in self.normals:
-            if node.id == normal_id:
-                return node
-        raise KeyError(normal_id)
+        return self._normals[normal_id]
 
     def tracing_point_by_id(self, tp_id: int) -> TracingPoint:
-        for tp in self.tracing_points:
-            if tp.id == tp_id:
-                return tp
-        raise KeyError(tp_id)
+        return self._tracing_points[tp_id]
+
+
+def _index_by_id(items, what: str) -> dict:
+    """Map id -> item, rejecting a repeated id."""
+    index = {}
+    for item in items:
+        if item.id in index:
+            raise DuplicateNodeError(f"{what} id {item.id} appears more than once")
+        index[item.id] = item
+    return index
 
 
 def deploy_grid_heads(field: FieldSpec, rows: int, cols: int) -> Tuple[Node, ...]:

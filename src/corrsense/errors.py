@@ -39,3 +39,7 @@ class NoPlateauError(SimulationError):
 
 class SweepInvariantError(SimulationError):
     """An experiment output violated one of its declared shape properties."""
+
+
+class DuplicateNodeError(SimulationError):
+    """Two nodes of one kind, or two tracing points, share an id."""

@@ -81,6 +81,13 @@ class TestBetaFactors:
         with pytest.raises(ValueError):
             NoiseModel(sigma_n2=-0.1)
 
+    @pytest.mark.parametrize("name", ["sigma_s2", "sigma_n2", "sigma_nt2",
+                                      "sigma_nch2", "power"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            NoiseModel(**{name: value})
+
     def test_from_betas_round_trip(self):
         noise = NoiseModel.from_betas(0.7, 0.85)
         b = beta_factors(noise)

@@ -138,6 +138,14 @@ class TestFailures:
         assert code != 0
         assert err.startswith("corrsense: error:")
 
+    def test_repeated_node_id(self, tmp_path, capsys):
+        dep = tmp_path / "dep.txt"
+        dep.write_text("field,10,10\nCH,1,2,2\nCH,1,8,8\nN,1,1,1\nN,1,9,9\n")
+        code, out, err = run_cli(capsys, "cluster", "--deployment", str(dep))
+        assert code == 2
+        assert out == ""
+        assert "head id 1 appears more than once" in err
+
     def test_invalid_theta(self, capsys):
         code, _, err = run_cli(capsys, "accuracy", "--theta1", "-5")
         assert code != 0

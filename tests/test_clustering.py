@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from corrsense import (CorrelationParams, Deployment, FieldSpec, NodeKind,
-                       NoHeadsError, Position, TracingPoint, UnknownNodeError,
-                       assign_clusters, assignment_kernel_diagnostics,
-                       assignment_to_csv, build_grid_deployment,
-                       cluster_geometry, geometry_from_points, place_nodes)
+from corrsense import (CorrelationParams, Deployment, FieldSpec, Node,
+                       NodeKind, NoHeadsError, Position, TracingPoint,
+                       UnknownNodeError, assign_clusters,
+                       assignment_kernel_diagnostics, assignment_to_csv,
+                       build_grid_deployment, cluster_geometry,
+                       geometry_from_points, place_nodes)
+from corrsense.clustering import _ASSIGN_CHUNK
 
 FIELD = FieldSpec(100.0, 100.0)
 
@@ -85,6 +87,57 @@ class TestAssignClusters:
         expected = brute_force_assignment(head_xy, normal_xy)
         assert {c.head_id: list(c.members) for c in assignment.clusters} == expected
 
+    def test_exact_tie_where_np_hypot_differs(self):
+        # 17^2 + 52^2 == 28^2 + 47^2, but the C library's hypot rounds the
+        # two an ulp apart; math.hypot rounds both to the same value
+        dep = deployment_from_coords([(17, 52), (28, 47)], [(0, 0)])
+        assert assign_clusters(dep).by_head[1].members == (1,)
+
+    @given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)),
+                    min_size=1, max_size=8),
+           st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)),
+                    min_size=0, max_size=30))
+    @settings(max_examples=200)
+    def test_matches_brute_force_on_integer_grid(self, head_xy, normal_xy):
+        # integer coordinates on a small grid make exact ties common
+        dep = deployment_from_coords(head_xy, normal_xy)
+        expected = brute_force_assignment(head_xy, normal_xy)
+        assert {c.head_id: list(c.members)
+                for c in assign_clusters(dep).clusters} == expected
+
+    @given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)),
+                    min_size=1, max_size=8).flatmap(
+               lambda xy: st.tuples(st.just(xy), st.permutations(range(len(xy))))),
+           st.lists(st.tuples(st.floats(0, 100), st.floats(0, 100)),
+                    min_size=0, max_size=20))
+    @settings(max_examples=200)
+    def test_heads_out_of_id_order(self, heads_and_order, normal_xy):
+        head_xy, order = heads_and_order
+        heads = tuple(Node(id=i + 1, kind=NodeKind.CLUSTER_HEAD,
+                           position=Position(*head_xy[i])) for i in order)
+        normals = place_nodes(FIELD, [(NodeKind.NORMAL, p) for p in normal_xy])
+        dep = Deployment(field=FIELD, heads=heads, normals=normals[::-1])
+        assignment = assign_clusters(dep)
+        assert [c.head_id for c in assignment.clusters] == list(range(1, len(heads) + 1))
+        expected = brute_force_assignment(head_xy, normal_xy)
+        assert {c.head_id: list(c.members) for c in assignment.clusters} == expected
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12),
+           st.integers(_ASSIGN_CHUNK + 1, 3 * _ASSIGN_CHUNK), st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_brute_force_across_chunks(self, seed, n_heads, n_normals,
+                                               on_grid):
+        rng = np.random.default_rng(seed)
+        head_xy = rng.random((n_heads, 2)) * 100
+        normal_xy = rng.random((n_normals, 2)) * 100
+        if on_grid:
+            head_xy, normal_xy = np.round(head_xy / 10), np.round(normal_xy / 10)
+        head_xy, normal_xy = head_xy.tolist(), normal_xy.tolist()
+        dep = deployment_from_coords(head_xy, normal_xy)
+        expected = brute_force_assignment(head_xy, normal_xy)
+        assert {c.head_id: list(c.members)
+                for c in assign_clusters(dep).clusters} == expected
+
     @given(st.lists(st.tuples(st.floats(0, 100), st.floats(0, 100)),
                     min_size=1, max_size=5),
            st.lists(st.tuples(st.floats(0, 100), st.floats(0, 100)),
@@ -133,6 +186,22 @@ class TestClusterGeometry:
         bad = Cluster(head_id=1, members=(42,))
         with pytest.raises(UnknownNodeError):
             cluster_geometry(bad, dep, TracingPoint(1, Position(0, 0)))
+
+    def test_matches_geometry_from_scanned_positions(self):
+        dep = build_grid_deployment(FieldSpec(120, 120), 3, 3, 60, seed=5)
+        for cluster in assign_clusters(dep).clusters:
+            tp = dep.tracing_point_by_id(cluster.head_id)
+            (head,) = [n for n in dep.heads if n.id == cluster.head_id]
+            members = [next(n.position for n in dep.normals if n.id == i)
+                       for i in cluster.members]
+            expected = geometry_from_points(tp.position, head.position, members,
+                                            head_id=head.id,
+                                            member_ids=cluster.members)
+            got = cluster_geometry(cluster, dep, tp)
+            assert (got.head_id, got.member_ids, got.tracing_to_head) == \
+                (expected.head_id, expected.member_ids, expected.tracing_to_head)
+            for name in ("tracing_to_members", "head_to_members", "member_distances"):
+                assert np.array_equal(getattr(got, name), getattr(expected, name))
 
     @given(st.lists(st.tuples(st.floats(0, 100), st.floats(0, 100)),
                     min_size=2, max_size=8))

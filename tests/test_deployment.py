@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from corrsense import (Deployment, FieldSpec, NodeKind, OutOfFieldError,
-                       Position, assign_tracing_points, build_grid_deployment,
-                       deploy_grid_heads, deploy_random_normals,
-                       deployment_from_text, deployment_to_text, place_nodes)
+from corrsense import (Deployment, DuplicateNodeError, FieldSpec, NodeKind,
+                       OutOfFieldError, Position, assign_tracing_points,
+                       build_grid_deployment, deploy_grid_heads,
+                       deploy_random_normals, deployment_from_text,
+                       deployment_to_text, place_nodes)
 
 FIELD = FieldSpec(120.0, 120.0)
 
@@ -169,6 +170,16 @@ class TestDeployment:
         assert dep.tracing_point_by_id(2).id == 2
         with pytest.raises(KeyError):
             dep.head_by_id(99)
+
+    @pytest.mark.parametrize("text, message", [
+        ("field,10,10\nCH,1,2,2\nCH,1,8,8\nN,1,1,1\nN,1,9,9\n", "head id 1"),
+        ("field,10,10\nCH,1,2,2\nCH,2,8,8\nN,3,1,1\nN,3,9,9\n", "normal id 3"),
+        ("field,10,10\nCH,1,2,2\nN,1,1,1\nT,1,3,3\nT,1,4,4\n",
+         "tracing point id 1"),
+    ])
+    def test_rejects_repeated_id(self, text, message):
+        with pytest.raises(DuplicateNodeError, match=message):
+            deployment_from_text(text)
 
 
 class TestSerialization:
