@@ -37,6 +37,7 @@ from .errors import MissingTracingPointError, NotPositiveDefiniteError
 from .spatial_stats import CorrelationParams, kernel
 
 CHOLESKY_JITTER = 1e-10  # relative to sigma_s2, added once on factorization failure
+_MC_CHUNK = 1 << 14  # Monte Carlo draws per chunk; bounds memory for any sample count
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,6 @@ class AccuracyReport:
     sigma_s2: float = 1.0
     mc_samples: Optional[int] = None
     mc_std_error: Optional[float] = None
-    mc_workers: Optional[int] = None
 
 
 def _cholesky_with_jitter(cov: np.ndarray, sigma_s2: float) -> np.ndarray:
@@ -248,39 +248,49 @@ def closed_form_accuracy(geometry: ClusterGeometry, betas: BetaFactors,
                           sigma_s2=sigma_s2)
 
 
+def _fold_moments(total: Tuple[int, float, float],
+                  x: np.ndarray) -> Tuple[int, float, float]:
+    """Merge the (count, mean, M2) of `x` into a running total.
+
+    The chunk's moments are taken in two passes and merged with the
+    pairwise update of Chan, Golub & LeVeque (1979), which stays accurate
+    when the spread is small against the mean, unlike E[x^2] - E[x]^2.
+    """
+    n_a, mean_a, m2_a = total
+    n_b = x.size
+    mean_b = float(x.mean())
+    m2_b = float(np.square(x - mean_b).sum())
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return (n, mean_a + delta * (n_b / n),
+            m2_a + m2_b + delta * delta * (n_a * n_b / n))
+
+
 def monte_carlo_accuracy(geometry: ClusterGeometry, betas: BetaFactors,
                          noise: NoiseModel, params: CorrelationParams,
-                         samples: int, seed: int,
-                         workers: int = 1) -> AccuracyReport:
+                         samples: int, seed: int) -> AccuracyReport:
     """Estimate distortion by simulating the full chain `samples` times.
 
-    The sample budget is split across `workers` substreams seeded from
-    (seed, worker index); results are identical for a fixed (seed, workers).
+    Draws come in chunks of _MC_CHUNK, chunk i seeded from (seed, i), so
+    the result depends only on (seed, samples) and memory does not grow
+    with `samples`.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    share = [samples // workers + (1 if w < samples % workers else 0)
-             for w in range(workers)]
-    sq_sum = 0.0
-    sq_sum_sq = 0.0
-    for w, n in enumerate(share):
-        if n == 0:
-            continue
-        rng = np.random.default_rng(np.random.SeedSequence((seed, w)))
-        sample = simulate_reading(geometry, noise, params, rng, n=n)
-        err2 = (sample.s - estimate(sample, betas, noise).s_hat) ** 2
-        sq_sum += float(err2.sum())
-        sq_sum_sq += float((err2 ** 2).sum())
-    distortion = sq_sum / samples
-    var_err2 = max(sq_sum_sq / samples - distortion ** 2, 0.0)
-    std_error = math.sqrt(var_err2 / samples)
+    moments = (0, 0.0, 0.0)
+    for i, start in enumerate(range(0, samples, _MC_CHUNK)):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+        sample = simulate_reading(geometry, noise, params, rng,
+                                  n=min(_MC_CHUNK, samples - start))
+        err2 = np.square(sample.s - estimate(sample, betas, noise).s_hat)
+        moments = _fold_moments(moments, err2)
+    _, distortion, m2 = moments
+    std_error = math.sqrt(m2 / samples ** 2)
     return AccuracyReport(
         head_id=geometry.head_id, m=geometry.m, method="monte_carlo",
         d_a=1.0 - distortion / noise.sigma_s2, distortion=distortion,
         sigma_s2=noise.sigma_s2, mc_samples=samples,
-        mc_std_error=std_error / noise.sigma_s2, mc_workers=workers,
+        mc_std_error=std_error / noise.sigma_s2,
     )
 
 
@@ -292,8 +302,7 @@ def accuracy_for_assignment(assignment: ClusterAssignment,
                             method: str = "closed_form",
                             noise: Optional[NoiseModel] = None,
                             samples: int = 100_000,
-                            seed: int = 0,
-                            workers: int = 1) -> List[AccuracyReport]:
+                            seed: int = 0) -> List[AccuracyReport]:
     """One report per cluster (head-id order), each against its tracing point."""
     by_id = {tp.id: tp for tp in tracing_points}
     reports = []
@@ -309,7 +318,7 @@ def accuracy_for_assignment(assignment: ClusterAssignment,
                 raise ValueError("monte_carlo needs a noise model")
             reports.append(monte_carlo_accuracy(
                 geometry, betas, noise, params, samples=samples,
-                seed=seed + cluster.head_id, workers=workers))
+                seed=seed + cluster.head_id))
         else:
             raise ValueError(f"unknown method {method!r}")
     return reports
@@ -340,7 +349,7 @@ def reports_to_json(reports: Sequence[AccuracyReport],
             {"head_id": r.head_id, "m": r.m, "method": r.method,
              "d_a": r.d_a, "distortion": r.distortion,
              "sigma_s2": r.sigma_s2, "mc_samples": r.mc_samples,
-             "mc_std_error": r.mc_std_error, "mc_workers": r.mc_workers}
+             "mc_std_error": r.mc_std_error}
             for r in reports
         ],
     }

@@ -28,7 +28,7 @@ _EXPERIMENTS = ("setup1", "setup2", "fig5", "fig6", "fig8", "fig9", "optimal")
 
 _COERCE = {
     "seed": int, "runs": int, "grid_rows": int, "grid_cols": int,
-    "normals": int, "samples": int, "workers": int,
+    "normals": int, "samples": int,
     "theta1": float, "theta2": float, "tau": float,
     "width": float, "height": float, "epsilon": float,
     "noise_profile": str, "format": str, "out": str, "deployment": str,
@@ -40,7 +40,7 @@ _DEFAULTS = {
     "noise_profile": "default", "format": "csv",
     "width": 120.0, "height": 120.0, "grid_rows": 5, "grid_cols": 5,
     "normals": 100, "method": "closed_form", "samples": 100_000,
-    "workers": 1, "epsilon": 0.01,
+    "epsilon": 0.01,
 }
 
 
@@ -119,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deployment", help="deployment file from `deploy`")
     p.add_argument("--method", choices=("closed_form", "monte_carlo"))
     p.add_argument("--samples", type=int)
-    p.add_argument("--workers", type=int)
     _add_common(p)
 
     p = sub.add_parser("experiment", help="run a canonical experiment")
@@ -164,8 +163,7 @@ def _cmd_accuracy(opts: Dict[str, object]) -> str:
     reports = accuracy_for_assignment(
         assign_clusters(dep), dep, dep.tracing_points, beta_factors(noise),
         params, method=str(opts["method"]), noise=noise,
-        samples=int(opts["samples"]), seed=int(opts["seed"]),
-        workers=int(opts["workers"]))
+        samples=int(opts["samples"]), seed=int(opts["seed"]))
     if opts["format"] == "json":
         return reports_to_json(reports, params, noise, seed=int(opts["seed"]))
     return reports_to_csv(reports)

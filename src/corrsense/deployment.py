@@ -227,6 +227,10 @@ def deployment_to_text(dep: Deployment) -> str:
     return "\n".join(lines) + "\n"
 
 
+# fields after the tag in each record of the deployment text format
+_RECORD_FIELDS = {"field": 2, "seed": 1, "grid": 2, "CH": 3, "N": 3, "T": 3}
+
+
 def deployment_from_text(text: str) -> Deployment:
     field = None
     seed = 0
@@ -237,6 +241,12 @@ def deployment_from_text(text: str) -> Deployment:
         if not line or line.startswith("#"):
             continue
         tag, *rest = line.split(",")
+        expected = _RECORD_FIELDS.get(tag)
+        if expected is None:
+            raise ValueError(f"unrecognized record: {line!r}")
+        if len(rest) != expected:
+            raise ValueError(f"{tag} record needs {expected} fields after "
+                             f"the tag, got {len(rest)}: {line!r}")
         if tag == "field":
             field = FieldSpec(float(rest[0]), float(rest[1]))
         elif tag == "seed":
@@ -248,11 +258,9 @@ def deployment_from_text(text: str) -> Deployment:
             node = Node(id=int(rest[0]), kind=kind,
                         position=Position(float(rest[1]), float(rest[2])))
             (heads if kind is NodeKind.CLUSTER_HEAD else normals).append(node)
-        elif tag == "T":
+        else:  # T
             points.append(TracingPoint(id=int(rest[0]),
                                        position=Position(float(rest[1]), float(rest[2]))))
-        else:
-            raise ValueError(f"unrecognized record: {line!r}")
     if field is None:
         raise ValueError("missing field header record")
     return Deployment(field=field, heads=tuple(heads), normals=tuple(normals),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from corrsense import (BetaFactors, CorrelationParams, EstimateSet, FieldSpec,
                        empirical_correlation, estimate, geometry_from_points,
                        monte_carlo_accuracy, place_nodes, reports_to_csv,
                        reports_to_json, simulate_reading)
+from corrsense.accuracy import _MC_CHUNK, _fold_moments
 
 P50 = CorrelationParams(50.0, 1.0, 0.6)
 P400 = CorrelationParams(400.0, 1.0, 0.6)
@@ -310,16 +312,57 @@ class TestMonteCarlo:
                 hits += 1
         assert hits >= 4
 
-    def test_deterministic_per_seed_and_workers(self):
+    def test_deterministic_per_seed(self):
         geo = circle_cluster(4, 5.0)
         noise = NoiseModel.default_profile()
         betas = beta_factors(noise)
         a = monte_carlo_accuracy(geo, betas, noise, P50, samples=10_000,
-                                 seed=5, workers=3)
+                                 seed=5)
         b = monte_carlo_accuracy(geo, betas, noise, P50, samples=10_000,
-                                 seed=5, workers=3)
+                                 seed=5)
         assert a == b
-        assert a.mc_workers == 3
+
+    @pytest.mark.parametrize("samples", [100, _MC_CHUNK - 1, _MC_CHUNK,
+                                         _MC_CHUNK + 1, 3 * _MC_CHUNK + 7])
+    def test_chunk_edges(self, samples):
+        geo = circle_cluster(4, 5.0)
+        noise = NoiseModel.default_profile()
+        betas = beta_factors(noise)
+        a = monte_carlo_accuracy(geo, betas, noise, P50, samples=samples,
+                                 seed=9)
+        assert a.mc_samples == samples
+        assert math.isfinite(a.d_a) and math.isfinite(a.mc_std_error)
+        assert a == monte_carlo_accuracy(geo, betas, noise, P50,
+                                         samples=samples, seed=9)
+
+    def test_fold_moments_matches_numpy_on_offset_data(self):
+        # Small spread on a large mean: E[x^2] - E[x]^2 keeps no digit here.
+        rng = np.random.default_rng(3)
+        data = 1e6 + 1e-3 * rng.standard_normal(10_000)
+        moments = (0, 0.0, 0.0)
+        for chunk in np.array_split(data, [1, 700, 4096, 4097, 9000]):
+            moments = _fold_moments(moments, chunk)
+        n, mean, m2 = moments
+        assert n == data.size
+        assert mean == approx(np.mean(data), rel=1e-15)
+        assert m2 / n == approx(np.var(data), rel=1e-9)
+        naive = np.mean(data ** 2) - np.mean(data) ** 2
+        assert naive != approx(np.var(data), rel=0.1)
+
+    def test_memory_does_not_grow_with_samples(self):
+        geo = circle_cluster(16, 5.0)
+        noise = NoiseModel.default_profile()
+        betas = beta_factors(noise)
+        ceiling = 48 * 2 ** 20
+        for samples in (2 ** 17, 2 ** 20):
+            tracemalloc.start()
+            try:
+                monte_carlo_accuracy(geo, betas, noise, P50, samples=samples,
+                                     seed=6)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < ceiling, f"{peak / 2 ** 20:.1f} MB at {samples}"
 
     def test_identity_chain(self):
         geo = circle_cluster(3, 5.0)

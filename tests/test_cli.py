@@ -146,6 +146,16 @@ class TestFailures:
         assert out == ""
         assert "head id 1 appears more than once" in err
 
+    @pytest.mark.parametrize("record", ["CH,1,2", "CH,1,2,3,4"])
+    def test_wrong_record_length(self, tmp_path, capsys, record):
+        dep = tmp_path / "dep.txt"
+        dep.write_text(f"field,10,10\n{record}\nN,1,1,1\n")
+        code, out, err = run_cli(capsys, "cluster", "--deployment", str(dep))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("corrsense: error:")
+        assert repr(record) in err
+
     def test_invalid_theta(self, capsys):
         code, _, err = run_cli(capsys, "accuracy", "--theta1", "-5")
         assert code != 0

@@ -211,6 +211,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             deployment_from_text("field,10,10\nbogus,1,2,3\n")
 
+    @pytest.mark.parametrize("record", [
+        "field,10", "field,10,10,10", "seed", "seed,1,2", "grid,1",
+        "grid,1,1,1", "CH,1,2", "CH,1,2,3,4", "N,1", "N,1,2,3,4", "T,1,2",
+        "T,1,2,3,4"])
+    def test_rejects_wrong_field_count(self, record):
+        with pytest.raises(ValueError, match=repr(record)):
+            deployment_from_text(f"field,10,10\n{record}\n")
+
     def test_missing_field_header(self):
         with pytest.raises(ValueError):
             deployment_from_text("seed,3\n")
