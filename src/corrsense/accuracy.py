@@ -12,7 +12,9 @@ tracing-point value.
 Two routes compute d_a: a closed form obtained by expanding the estimator's
 first and second moments under the kernel covariance, and a seeded
 Monte-Carlo estimate that simulates the full observation chain. The closed
-form in normalized units (sigma_s2 = 1) is
+form is evaluated for many clusters of one size at once, from stacked
+coordinates, in blocks of bounded memory. In normalized units (sigma_s2 = 1)
+it is
 
     d_a = (2/m) * [beta * sum_i K(d_Si) + beta_ch * K(d_SC)]
         - (1/m^2) * [beta^2 * sum_{i != j} K(d_ij) + (m-1) * beta
@@ -27,17 +29,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .clustering import ClusterAssignment, ClusterGeometry, cluster_geometry
-from .deployment import Deployment, TracingPoint
+from .clustering import (ClusterAssignment, ClusterGeometry, cluster_geometry,
+                         cluster_positions, point_distances)
+from .deployment import Deployment, Position, TracingPoint
 from .errors import MissingTracingPointError, NotPositiveDefiniteError
-from .spatial_stats import CorrelationParams, kernel
+from .spatial_stats import CorrelationParams, _kernel_values, kernel
 
 CHOLESKY_JITTER = 1e-10  # relative to sigma_s2, added once on factorization failure
 _MC_CHUNK = 1 << 14  # Monte Carlo draws per chunk; bounds memory for any sample count
+_PAIR_BLOCK = 1 << 15  # member-pair distances per block of the batched closed form
 
 
 @dataclass(frozen=True)
@@ -191,15 +195,33 @@ def simulate_reading(geometry: ClusterGeometry, noise: NoiseModel,
     from its conditional given the nodes, which keeps a node sitting on the
     tracing point bit-identical to it.
     """
-    k = len(geometry.member_ids)
+    return _draw_reading(_factor_covariance(geometry, noise, params), noise,
+                         rng, n)
+
+
+def _factor_covariance(geometry: ClusterGeometry, noise: NoiseModel,
+                       params: CorrelationParams
+                       ) -> Tuple[np.ndarray, np.ndarray, float]:
+    """(chol, w, sd) of the reading covariance: the node block's Cholesky
+    factor, the regression weights of the tracing point on the nodes, and
+    the tracing point's conditional standard deviation."""
     joint = geometry.joint_distances()
     node_cov = noise.sigma_s2 * kernel(joint[1:, 1:], params)
     tracing_cov = noise.sigma_s2 * kernel(joint[0, 1:], params)
     chol = _cholesky_with_jitter(node_cov, noise.sigma_s2)
-    nodes = chol @ rng.standard_normal((k + 1, n))
     w = np.linalg.solve(chol.T, np.linalg.solve(chol, tracing_cov))
     cond_var = max(noise.sigma_s2 - float(tracing_cov @ w), 0.0)
-    s = w @ nodes + math.sqrt(cond_var) * rng.standard_normal(n)
+    return chol, w, math.sqrt(cond_var)
+
+
+def _draw_reading(factor: Tuple[np.ndarray, np.ndarray, float],
+                  noise: NoiseModel, rng: np.random.Generator,
+                  n: int) -> ReadingSample:
+    """simulate_reading's draws, given _factor_covariance's factor."""
+    chol, w, cond_sd = factor
+    k = chol.shape[0] - 1
+    nodes = chol @ rng.standard_normal((k + 1, n))
+    s = w @ nodes + cond_sd * rng.standard_normal(n)
     s_members, s_head = nodes[:k], nodes[k]
     noise_members = rng.normal(0.0, math.sqrt(noise.sigma_n2), (k, n))
     tnoise_members = rng.normal(0.0, math.sqrt(noise.sigma_nt2), (k, n))
@@ -232,20 +254,79 @@ def closed_form_accuracy(geometry: ClusterGeometry, betas: BetaFactors,
                          params: CorrelationParams,
                          sigma_s2: float = 1.0) -> AccuracyReport:
     """Exact normalized accuracy of the averaged estimator (see module doc)."""
-    m = geometry.m
-    k_s = kernel(geometry.tracing_to_members, params)
-    k_sc = kernel(geometry.tracing_to_head, params)
-    k_c = kernel(geometry.head_to_members, params)
-    k_p = kernel(geometry.member_distances, params)
-    beta, beta_ch = betas.beta, betas.beta_ch
-    cross = (2.0 / m) * (beta * float(np.sum(k_s)) + beta_ch * k_sc)
-    pair_sum = float(np.sum(k_p)) - (m - 1)  # off-diagonal only; K(0) = 1
-    second = (beta ** 2 * pair_sum + (m - 1) * beta
-              + 2.0 * beta * beta_ch * float(np.sum(k_c)) + beta_ch) / m ** 2
-    d_a = cross - second
-    return AccuracyReport(head_id=geometry.head_id, m=m, method="closed_form",
+    distances = [np.asarray(d, float)[None] for d in (
+        geometry.tracing_to_members, geometry.tracing_to_head,
+        geometry.head_to_members, geometry.member_distances)]
+    if any(np.any(d < 0) for d in distances):
+        raise ValueError("distance must be nonnegative")
+    s_m, s_h, h_m, pairs = distances  # a batch of one cluster
+    d_a = _closed_form_d_a(geometry.m, s_m, s_h, h_m, [pairs], betas, [params])
+    return _closed_form_report(geometry.head_id, geometry.m, float(d_a[0, 0]),
+                               sigma_s2)
+
+
+def _closed_form_report(head_id: int, m: int, d_a: float,
+                        sigma_s2: float = 1.0) -> AccuracyReport:
+    return AccuracyReport(head_id=head_id, m=m, method="closed_form",
                           d_a=d_a, distortion=sigma_s2 * (1.0 - d_a),
                           sigma_s2=sigma_s2)
+
+
+def _closed_form_batch(tracing: np.ndarray, head: np.ndarray,
+                       members: np.ndarray, betas: BetaFactors,
+                       params: Sequence[CorrelationParams]) -> np.ndarray:
+    """d_a of n clusters of one size m for each params, as (n, len(params)).
+
+    Takes coordinates: tracing (n, 2), head (n, 2), members (n, m-1, 2).
+    Distances are computed block by block, each block holding at most
+    _PAIR_BLOCK member-pair distances (whole clusters, or row slices of
+    one cluster's pair matrix when that alone exceeds the block), so memory
+    stays bounded for any batch.
+    """
+    n, k = members.shape[:2]
+    rows = max(1, min(k, _PAIR_BLOCK // max(k, 1)))  # pair-matrix rows per slice
+    step = max(1, _PAIR_BLOCK // max(rows * k, 1))   # clusters per block
+    d_a = np.empty((n, len(params)))
+    for lo in range(0, n, step):
+        s = tracing[lo:lo + step, None]
+        h = head[lo:lo + step, None]
+        mem = members[lo:lo + step]
+        pair_slices = (point_distances(mem[:, r:r + rows, None], mem[:, None])
+                       for r in range(0, k, rows))
+        d_a[lo:lo + step] = _closed_form_d_a(
+            k + 1, point_distances(mem, s), point_distances(h, s)[:, 0],
+            point_distances(mem, h), pair_slices, betas, params)
+    return d_a
+
+
+def _closed_form_d_a(m: int, tracing_to_members: np.ndarray,
+                     tracing_to_head: np.ndarray,
+                     head_to_members: np.ndarray,
+                     pair_slices: Iterable[np.ndarray], betas: BetaFactors,
+                     params: Sequence[CorrelationParams]) -> np.ndarray:
+    """The module-doc formula for c clusters of size m, as (c, len(params)).
+
+    Distances carry a leading cluster axis: (c, m-1), (c,), (c, m-1), and
+    `pair_slices` yields the member-pair matrices in row slices of shape
+    (c, rows, m-1) whose kernel sums add up to the full matrix's. All
+    distances must be nonnegative; this is not checked here.
+    """
+    pair_sum = np.zeros((len(tracing_to_head), len(params)))
+    for pairs in pair_slices:
+        for j, p in enumerate(params):
+            pair_sum[:, j] += _kernel_values(pairs, p).sum(axis=(-2, -1))
+    pair_sum -= m - 1  # off-diagonal only; K(0) = 1
+    beta, beta_ch = betas.beta, betas.beta_ch
+    d_a = np.empty_like(pair_sum)
+    for j, p in enumerate(params):
+        cross = (2.0 / m) * (
+            beta * _kernel_values(tracing_to_members, p).sum(axis=-1)
+            + beta_ch * _kernel_values(tracing_to_head, p))
+        k_c = _kernel_values(head_to_members, p).sum(axis=-1)
+        second = (beta ** 2 * pair_sum[:, j] + (m - 1) * beta
+                  + 2.0 * beta * beta_ch * k_c + beta_ch) / m ** 2
+        d_a[:, j] = cross - second
+    return d_a
 
 
 def _fold_moments(total: Tuple[int, float, float],
@@ -271,17 +352,18 @@ def monte_carlo_accuracy(geometry: ClusterGeometry, betas: BetaFactors,
                          samples: int, seed: int) -> AccuracyReport:
     """Estimate distortion by simulating the full chain `samples` times.
 
-    Draws come in chunks of _MC_CHUNK, chunk i seeded from (seed, i), so
-    the result depends only on (seed, samples) and memory does not grow
-    with `samples`.
+    The covariance is factored once; draws come in chunks of _MC_CHUNK,
+    chunk i seeded from (seed, i), so the result depends only on
+    (seed, samples) and memory does not grow with `samples`.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
+    factor = _factor_covariance(geometry, noise, params)
     moments = (0, 0.0, 0.0)
     for i, start in enumerate(range(0, samples, _MC_CHUNK)):
         rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-        sample = simulate_reading(geometry, noise, params, rng,
-                                  n=min(_MC_CHUNK, samples - start))
+        sample = _draw_reading(factor, noise, rng,
+                               min(_MC_CHUNK, samples - start))
         err2 = np.square(sample.s - estimate(sample, betas, noise).s_hat)
         moments = _fold_moments(moments, err2)
     _, distortion, m2 = moments
@@ -303,25 +385,44 @@ def accuracy_for_assignment(assignment: ClusterAssignment,
                             noise: Optional[NoiseModel] = None,
                             samples: int = 100_000,
                             seed: int = 0) -> List[AccuracyReport]:
-    """One report per cluster (head-id order), each against its tracing point."""
+    """One report per cluster (head-id order), each against its tracing point.
+
+    The closed form scores all clusters of one size in one batched call.
+    """
+    if method not in ("closed_form", "monte_carlo"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "monte_carlo" and noise is None:
+        raise ValueError("monte_carlo needs a noise model")
     by_id = {tp.id: tp for tp in tracing_points}
-    reports = []
-    for cluster in sorted(assignment.clusters, key=lambda c: c.head_id):
+    clusters = sorted(assignment.clusters, key=lambda c: c.head_id)
+    for cluster in clusters:
         if cluster.head_id not in by_id:
             raise MissingTracingPointError(f"no tracing point for head "
                                            f"CH{cluster.head_id}")
-        geometry = cluster_geometry(cluster, deployment, by_id[cluster.head_id])
-        if method == "closed_form":
-            reports.append(closed_form_accuracy(geometry, betas, params))
-        elif method == "monte_carlo":
-            if noise is None:
-                raise ValueError("monte_carlo needs a noise model")
-            reports.append(monte_carlo_accuracy(
-                geometry, betas, noise, params, samples=samples,
-                seed=seed + cluster.head_id))
-        else:
-            raise ValueError(f"unknown method {method!r}")
+    if method == "monte_carlo":
+        return [monte_carlo_accuracy(
+            cluster_geometry(c, deployment, by_id[c.head_id]), betas, noise,
+            params, samples=samples, seed=seed + c.head_id) for c in clusters]
+    by_size: Dict[int, List[int]] = {}  # m -> indices into clusters
+    for i, cluster in enumerate(clusters):
+        by_size.setdefault(cluster.m, []).append(i)
+    reports: List[Optional[AccuracyReport]] = [None] * len(clusters)
+    for m, group in by_size.items():
+        positions = [cluster_positions(clusters[i], deployment) for i in group]
+        d_a = _closed_form_batch(
+            _xy([by_id[clusters[i].head_id].position for i in group]),
+            _xy([head for head, _ in positions]),
+            _xy([p for _, members in positions for p in members]
+                ).reshape(len(group), m - 1, 2),
+            betas, [params])
+        for i, value in zip(group, d_a[:, 0].tolist()):
+            reports[i] = _closed_form_report(clusters[i].head_id, m, value)
     return reports
+
+
+def _xy(positions: Sequence[Position]) -> np.ndarray:
+    """(len, 2) coordinate array of `positions`."""
+    return np.array([(p.x, p.y) for p in positions], float).reshape(-1, 2)
 
 
 def reports_to_csv(reports: Sequence[AccuracyReport]) -> str:

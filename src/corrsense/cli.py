@@ -60,6 +60,11 @@ def _read_config_file(path: str) -> Dict[str, str]:
 def _resolve(args: argparse.Namespace) -> Dict[str, object]:
     """Merge precedence: explicit flag > config file > built-in default."""
     file_values = _read_config_file(args.config) if args.config else {}
+    unknown = sorted(set(file_values) - set(_COERCE))
+    if unknown:
+        raise ValueError(f"unknown config key(s) in {args.config}: "
+                         f"{', '.join(unknown)}; known keys: "
+                         f"{', '.join(sorted(_COERCE))}")
     resolved: Dict[str, object] = {}
     for key, coerce in _COERCE.items():
         flag = getattr(args, key, None)

@@ -117,6 +117,17 @@ class ClusterGeometry:
         return np.maximum(d, d.T)
 
 
+def point_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between broadcast (..., 2) coordinate arrays.
+
+    sqrt(dx*dx + dy*dy) is the one distance formula of the accuracy
+    estimators; it rounds as np.linalg.norm(a - b, axis=-1) does.
+    """
+    dx = a[..., 0] - b[..., 0]
+    dy = a[..., 1] - b[..., 1]
+    return np.sqrt(dx * dx + dy * dy)
+
+
 def geometry_from_points(tracing: Position, head: Position,
                          members: Sequence[Position],
                          head_id: int = 0,
@@ -128,29 +139,33 @@ def geometry_from_points(tracing: Position, head: Position,
     mem = np.array([[p.x, p.y] for p in members]).reshape(-1, 2)
     if member_ids is None:
         member_ids = tuple(range(1, len(members) + 1))
-    diff = mem[:, None, :] - mem[None, :, :]
     return ClusterGeometry(
         head_id=head_id,
         member_ids=tuple(member_ids),
-        tracing_to_members=np.linalg.norm(mem - s, axis=1),
-        tracing_to_head=float(np.linalg.norm(h - s)),
-        head_to_members=np.linalg.norm(mem - h, axis=1),
-        member_distances=np.linalg.norm(diff, axis=2),
+        tracing_to_members=point_distances(mem, s),
+        tracing_to_head=float(point_distances(h, s)),
+        head_to_members=point_distances(mem, h),
+        member_distances=point_distances(mem[:, None], mem[None, :]),
     )
+
+
+def cluster_positions(cluster: Cluster, deployment: Deployment
+                      ) -> Tuple[Position, List[Position]]:
+    """Head and member positions of a deployed cluster, members in its order."""
+    try:
+        return (deployment.head_by_id(cluster.head_id).position,
+                [deployment.normal_by_id(i).position for i in cluster.members])
+    except KeyError as exc:
+        raise UnknownNodeError(f"node id {exc.args[0]} not in deployment") from exc
 
 
 def cluster_geometry(cluster: Cluster, deployment: Deployment,
                      tracing_point: TracingPoint) -> ClusterGeometry:
     """Distance bundle for a deployed cluster against one tracing point."""
-    try:
-        head = deployment.head_by_id(cluster.head_id)
-        members = [deployment.normal_by_id(i) for i in cluster.members]
-    except KeyError as exc:
-        raise UnknownNodeError(f"node id {exc.args[0]} not in deployment") from exc
-    return geometry_from_points(
-        tracing_point.position, head.position, [n.position for n in members],
-        head_id=cluster.head_id, member_ids=cluster.members,
-    )
+    head, members = cluster_positions(cluster, deployment)
+    return geometry_from_points(tracing_point.position, head, members,
+                                head_id=cluster.head_id,
+                                member_ids=cluster.members)
 
 
 def assignment_kernel_diagnostics(assignment: ClusterAssignment,

@@ -28,8 +28,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._version import __version__
-from .accuracy import (BetaFactors, NoiseModel, accuracy_for_assignment,
-                       beta_factors, closed_form_accuracy)
+from .accuracy import (BetaFactors, NoiseModel, _closed_form_batch,
+                       accuracy_for_assignment, beta_factors,
+                       closed_form_accuracy)
 from .clustering import ClusterGeometry, assign_clusters, geometry_from_points
 from .deployment import (RNG_NAME, Deployment, FieldSpec, Position,
                          build_grid_deployment)
@@ -330,31 +331,24 @@ def run_fig9(config: ExperimentConfig) -> List[SweepResult]:
     if config.runs < 1:
         raise ValueError("runs must be >= 1")
     betas = config.betas()
-    tracing = Position(*REGION_TRACING)
-    head = Position(*REGION_HEAD)
-    per_theta: Dict[float, Dict[int, List[float]]] = {
-        t: {m: [] for m in config.m_values} for t in config.theta1_values}
+    params = [replace(config.params, theta1=t) for t in config.theta1_values]
+    tracing = np.tile(REGION_TRACING, (config.runs, 1))
+    head = np.tile(REGION_HEAD, (config.runs, 1))
+    curves: List[List[SweepPoint]] = [[] for _ in params]
     for m in config.m_values:
-        for run in range(config.runs):
-            rng = np.random.default_rng(
-                np.random.SeedSequence((config.seed, _TAG_REGION, m, run)))
-            coords = rng.uniform(0.0, REGION_SIDE, size=(m - 1, 2))
-            members = [Position(float(x), float(y)) for x, y in coords]
-            geometry = geometry_from_points(tracing, head, members)
-            for theta1 in config.theta1_values:
-                params = replace(config.params, theta1=theta1)
-                rep = closed_form_accuracy(geometry, betas, params)
-                per_theta[theta1][m].append(rep.d_a)
-    results = []
-    for theta1 in config.theta1_values:
-        points = []
-        for m in config.m_values:
-            vals = np.array(per_theta[theta1][m])
+        members = np.stack([
+            np.random.default_rng(np.random.SeedSequence(
+                (config.seed, _TAG_REGION, m, run))
+            ).uniform(0.0, REGION_SIDE, size=(m - 1, 2))
+            for run in range(config.runs)])
+        d_a = _closed_form_batch(tracing, head, members, betas, params)
+        for points, vals in zip(curves, d_a.T.copy()):  # one row per theta1
             std_err = float(vals.std(ddof=1) / math.sqrt(len(vals))) \
                 if len(vals) > 1 else 0.0
             points.append(SweepPoint(m=m, value=float(m),
                                      d_a=float(vals.mean()), std_err=std_err))
-        results.append(SweepResult("fig9", "m", theta1, tuple(points)))
+    results = [SweepResult("fig9", "m", t, tuple(points))
+               for t, points in zip(config.theta1_values, curves)]
     _assert_fig9(results)
     return results
 

@@ -3,17 +3,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
-from corrsense import (BetaFactors, CorrelationParams, EstimateSet, FieldSpec,
+import corrsense.accuracy as accuracy_module
+from corrsense import (BetaFactors, Cluster, ClusterAssignment, ClusterGeometry,
+                       CorrelationParams, EstimateSet, FieldSpec,
                        MissingTracingPointError, NodeKind, NoiseModel, Position,
-                       ReadingSample, accuracy_for_assignment, assign_clusters,
-                       assign_tracing_points, beta_factors, build_grid_deployment,
-                       circle_cluster, closed_form_accuracy, Deployment,
-                       empirical_correlation, estimate, geometry_from_points,
-                       monte_carlo_accuracy, place_nodes, reports_to_csv,
-                       reports_to_json, simulate_reading)
-from corrsense.accuracy import _MC_CHUNK, _fold_moments
+                       ReadingSample, UnknownNodeError, accuracy_for_assignment,
+                       assign_clusters, assign_tracing_points, beta_factors,
+                       build_grid_deployment, circle_cluster, cluster_geometry,
+                       closed_form_accuracy, Deployment, empirical_correlation,
+                       estimate, geometry_from_points, monte_carlo_accuracy,
+                       place_nodes, reports_to_csv, reports_to_json,
+                       simulate_reading)
+from corrsense.accuracy import (_MC_CHUNK, _PAIR_BLOCK, _closed_form_batch,
+                                _fold_moments)
 
 P50 = CorrelationParams(50.0, 1.0, 0.6)
 P400 = CorrelationParams(400.0, 1.0, 0.6)
@@ -46,6 +52,28 @@ def oracle_d_a(tracing, head, members, beta, beta_ch, params, sigma_s2=1.0):
     w = betas / m
     distortion = sigma_s2 - 2.0 * w @ c + w @ cov @ w
     return 1.0 - distortion / sigma_s2
+
+
+def reference_closed_form_d_a(tracing, head, members, betas, params):
+    """The scalar closed form the batched one replaced, kept as its reference:
+    one cluster at a time, np.linalg.norm distances, whole-array sums."""
+    s, h = np.asarray(tracing, float), np.asarray(head, float)
+    mem = np.asarray(members, float).reshape(-1, 2)
+    m = len(mem) + 1
+
+    def k(d):
+        return np.exp(-((d / params.theta1) ** params.theta2))
+
+    k_s = k(np.linalg.norm(mem - s, axis=1))
+    k_sc = float(k(np.linalg.norm(h - s)))
+    k_c = k(np.linalg.norm(mem - h, axis=1))
+    k_p = k(np.linalg.norm(mem[:, None, :] - mem[None, :, :], axis=2))
+    beta, beta_ch = betas.beta, betas.beta_ch
+    cross = (2.0 / m) * (beta * float(np.sum(k_s)) + beta_ch * k_sc)
+    pair_sum = float(np.sum(k_p)) - (m - 1)
+    second = (beta ** 2 * pair_sum + (m - 1) * beta
+              + 2.0 * beta * beta_ch * float(np.sum(k_c)) + beta_ch) / m ** 2
+    return cross - second
 
 
 def random_geometry(rng, max_members=9, box=30.0):
@@ -275,7 +303,98 @@ class TestClosedForm:
             assert all(b >= a - 1e-12 for a, b in zip(das, das[1:]))
 
 
+    def test_rejects_negative_distance(self):
+        geo = ClusterGeometry(
+            head_id=0, member_ids=(1,), tracing_to_members=np.array([-1.0]),
+            tracing_to_head=1.0, head_to_members=np.array([1.0]),
+            member_distances=np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="nonnegative"):
+            closed_form_accuracy(geo, BetaFactors(1.0, 1.0), P50)
+
+
 CORNER_GEOMETRY_MEMBERS = [Position(30, 0), Position(0, 30), Position(30, 30)]
+
+
+def check_batch_against_reference(seed, n, m, box, theta1s, theta2, betas):
+    rng = np.random.default_rng(seed)
+    tracing = rng.uniform(0.0, box, (n, 2))
+    head = rng.uniform(0.0, box, (n, 2))
+    members = rng.uniform(0.0, box, (n, m - 1, 2))
+    params = [CorrelationParams(t, theta2, 0.6) for t in theta1s]
+    got = _closed_form_batch(tracing, head, members, betas, params)
+    assert got.shape == (n, len(params))
+    for i in range(n):
+        for j, p in enumerate(params):
+            want = reference_closed_form_d_a(tracing[i], head[i], members[i],
+                                             betas, p)
+            assert got[i, j] == approx(want, abs=1e-12)
+
+
+BATCH_BETAS = st.builds(BetaFactors, st.floats(0.05, 1.0), st.floats(0.05, 1.0))
+THETA1S = st.lists(st.sampled_from([10.0, 50.0, 100.0, 400.0]),
+                   min_size=1, max_size=4)
+
+
+class TestBatchedClosedForm:
+    """_closed_form_batch against the scalar reference, to 1e-12."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4),
+           m=st.integers(1, 120), box=st.sampled_from([1.0, 30.0, 500.0]),
+           theta1s=THETA1S, theta2=st.floats(0.1, 2.0), betas=BATCH_BETAS)
+    @example(seed=0, n=3, m=1, box=30.0, theta1s=[50.0, 400.0], theta2=1.0,
+             betas=BetaFactors(0.9, 0.8))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_scalar_reference(self, seed, n, m, box, theta1s, theta2,
+                                      betas):
+        check_batch_against_reference(seed, n, m, box, theta1s, theta2, betas)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(40, 120),
+           extra=st.integers(1, 5), theta1s=THETA1S,
+           theta2=st.sampled_from([0.5, 1.0, 2.0]), betas=BATCH_BETAS)
+    @settings(max_examples=15, deadline=None)
+    def test_batch_crosses_pair_blocks(self, seed, m, extra, theta1s, theta2,
+                                       betas):
+        per_block = _PAIR_BLOCK // (m - 1) ** 2
+        check_batch_against_reference(seed, per_block + extra, m, 30.0,
+                                      theta1s, theta2, betas)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3),
+           m=st.integers(183, 260), theta2=st.sampled_from([0.5, 1.0, 2.0]),
+           betas=BATCH_BETAS)
+    @settings(max_examples=6, deadline=None)
+    def test_cluster_larger_than_pair_block(self, seed, n, m, theta2, betas):
+        # (m-1)^2 > _PAIR_BLOCK: the pair matrix is summed in row slices
+        assert (m - 1) ** 2 > _PAIR_BLOCK
+        check_batch_against_reference(seed, n, m, 100.0, [50.0, 400.0],
+                                      theta2, betas)
+
+    @pytest.mark.parametrize("n,m", [(300, 100), (2, 600)])
+    def test_memory_bounded_by_pair_block(self, n, m):
+        rng = np.random.default_rng(5)
+        coords = (rng.uniform(0.0, 30.0, (n, 2)), rng.uniform(0.0, 30.0, (n, 2)),
+                  rng.uniform(0.0, 30.0, (n, m - 1, 2)))
+        tracemalloc.start()
+        try:
+            _closed_form_batch(*coords, BetaFactors(0.9, 0.9), [P50, P400])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 5 pair-block arrays are live at once (measured 1.1-1.5 MB);
+        # all 300 x 99^2 pairs at once would take 24 MB per array
+        assert peak < 16 * 8 * _PAIR_BLOCK, f"{peak / 2 ** 20:.1f} MB"
+
+    def test_closed_form_accuracy_is_a_batch_of_one(self):
+        rng = np.random.default_rng(12)
+        betas = beta_factors(NoiseModel.default_profile())
+        for m in (1, 2, 7, 40):
+            s, h = rng.uniform(0.0, 30.0, (2, 2))
+            members = rng.uniform(0.0, 30.0, (m - 1, 2))
+            geo = geometry_from_points(Position(*s), Position(*h),
+                                       [Position(*p) for p in members])
+            batch = _closed_form_batch(s[None], h[None], members[None], betas,
+                                       [P50, P400])
+            assert [closed_form_accuracy(geo, betas, p).d_a
+                    for p in (P50, P400)] == batch[0].tolist()
 
 
 class TestMonteCarlo:
@@ -334,6 +453,34 @@ class TestMonteCarlo:
         assert math.isfinite(a.d_a) and math.isfinite(a.mc_std_error)
         assert a == monte_carlo_accuracy(geo, betas, noise, P50,
                                          samples=samples, seed=9)
+
+    def test_matches_simulate_reading_per_chunk(self):
+        # the chunk loop as it was before the factor moved out of it
+        geo = circle_cluster(5, 6.0)
+        noise = NoiseModel.default_profile()
+        betas = beta_factors(noise)
+        samples = 2 * _MC_CHUNK + 11
+        moments = (0, 0.0, 0.0)
+        for i, start in enumerate(range(0, samples, _MC_CHUNK)):
+            rng = np.random.default_rng(np.random.SeedSequence((9, i)))
+            sample = simulate_reading(geo, noise, P50, rng,
+                                      n=min(_MC_CHUNK, samples - start))
+            moments = _fold_moments(moments, np.square(
+                sample.s - estimate(sample, betas, noise).s_hat))
+        rep = monte_carlo_accuracy(geo, betas, noise, P50, samples=samples,
+                                   seed=9)
+        assert rep.distortion == moments[1]
+        assert rep.mc_std_error == math.sqrt(moments[2] / samples ** 2)
+
+    def test_factors_covariance_once(self, monkeypatch):
+        calls = []
+        kernel = accuracy_module.kernel
+        monkeypatch.setattr(accuracy_module, "kernel",
+                            lambda d, p: calls.append(1) or kernel(d, p))
+        noise = NoiseModel.default_profile()
+        monte_carlo_accuracy(circle_cluster(4, 5.0), beta_factors(noise),
+                             noise, P50, samples=3 * _MC_CHUNK, seed=4)
+        assert len(calls) == 2  # node block and tracing-point column
 
     def test_fold_moments_matches_numpy_on_offset_data(self):
         # Small spread on a large mean: E[x^2] - E[x]^2 keeps no digit here.
@@ -420,6 +567,35 @@ class TestAccuracyForAssignment:
                 assign_clusters(dep), dep, points, beta_factors(noise), P50,
                 method=method, noise=noise, samples=1000, seed=3)
             assert all(r.d_a == 1.0 for r in reports)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), normals=st.integers(0, 60))
+    @settings(max_examples=20, deadline=None)
+    @example(seed=7, normals=30)
+    def test_closed_form_matches_per_cluster_loop(self, seed, normals):
+        dep = build_grid_deployment(FieldSpec(120, 120), 4, 4, normals,
+                                    seed=seed)
+        clusters = assign_clusters(dep).clusters
+        if (seed, normals) == (7, 30):  # ragged sizes and empty heads
+            assert len({c.m for c in clusters}) >= 3
+            assert any(c.m == 1 for c in clusters)
+        betas = beta_factors(NoiseModel.default_profile())
+        # clusters in reverse: reports still come back in head-id order
+        got = accuracy_for_assignment(ClusterAssignment(clusters[::-1]), dep,
+                                      dep.tracing_points, betas, P50)
+        want = [closed_form_accuracy(
+            cluster_geometry(c, dep, dep.tracing_point_by_id(c.head_id)),
+            betas, P50) for c in clusters]
+        assert got == want
+
+    @pytest.mark.parametrize("method", ["closed_form", "monte_carlo"])
+    def test_unknown_node(self, method):
+        dep = build_grid_deployment(FieldSpec(120, 120), 2, 2, 5, seed=7)
+        bad = ClusterAssignment((Cluster(head_id=1, members=(99,)),))
+        noise = NoiseModel.default_profile()
+        with pytest.raises(UnknownNodeError):
+            accuracy_for_assignment(bad, dep, dep.tracing_points,
+                                    beta_factors(noise), P50, method=method,
+                                    noise=noise, samples=100)
 
     def test_missing_tracing_point(self):
         dep = build_grid_deployment(FieldSpec(120, 120), 5, 5, 10, seed=7)

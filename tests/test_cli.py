@@ -123,6 +123,22 @@ class TestConfigFile:
         assert code == 0
         assert "seed=9" in out
 
+    def test_misspelled_key_rejected(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("method = monte_carlo\nsampels = 500\n")
+        code, out, err = run_cli(capsys, "accuracy", "--config", str(conf))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("corrsense: error:") and "sampels" in err
+
+    def test_removed_workers_key_rejected(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("workers = 3\n")
+        code, _, err = run_cli(capsys, "experiment", "setup1",
+                               "--config", str(conf))
+        assert code == 2
+        assert err.startswith("corrsense: error:") and "workers" in err
+
     def test_malformed_file(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
         conf.write_text("seed 42\n")
