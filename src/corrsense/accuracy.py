@@ -29,15 +29,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .clustering import (ClusterAssignment, ClusterGeometry, cluster_geometry,
-                         cluster_positions, point_distances)
-from .deployment import Deployment, Position, TracingPoint
+                         point_distances)
+from .deployment import Deployment, TracingPoint
 from .errors import MissingTracingPointError, NotPositiveDefiniteError
-from .spatial_stats import CorrelationParams, _kernel_values, kernel
+from .spatial_stats import CorrelationParams, kernel
 
 CHOLESKY_JITTER = 1e-10  # relative to sigma_s2, added once on factorization failure
 _MC_CHUNK = 1 << 14  # Monte Carlo draws per chunk; bounds memory for any sample count
@@ -254,22 +254,14 @@ def closed_form_accuracy(geometry: ClusterGeometry, betas: BetaFactors,
                          params: CorrelationParams,
                          sigma_s2: float = 1.0) -> AccuracyReport:
     """Exact normalized accuracy of the averaged estimator (see module doc)."""
-    distances = [np.asarray(d, float)[None] for d in (
+    s_m, s_h, h_m, pairs = (np.asarray(d, float)[None] for d in (
         geometry.tracing_to_members, geometry.tracing_to_head,
-        geometry.head_to_members, geometry.member_distances)]
-    if any(np.any(d < 0) for d in distances):
-        raise ValueError("distance must be nonnegative")
-    s_m, s_h, h_m, pairs = distances  # a batch of one cluster
-    d_a = _closed_form_d_a(geometry.m, s_m, s_h, h_m, [pairs], betas, [params])
-    return _closed_form_report(geometry.head_id, geometry.m, float(d_a[0, 0]),
-                               sigma_s2)
-
-
-def _closed_form_report(head_id: int, m: int, d_a: float,
-                        sigma_s2: float = 1.0) -> AccuracyReport:
-    return AccuracyReport(head_id=head_id, m=m, method="closed_form",
-                          d_a=d_a, distortion=sigma_s2 * (1.0 - d_a),
-                          sigma_s2=sigma_s2)
+        geometry.head_to_members, geometry.member_distances))
+    d_a = float(_closed_form_d_a(geometry.m, s_m, s_h, h_m, pairs, betas,
+                                 [params])[0, 0])  # a batch of one cluster
+    return AccuracyReport(head_id=geometry.head_id, m=geometry.m,
+                          method="closed_form", d_a=d_a,
+                          distortion=sigma_s2 * (1.0 - d_a), sigma_s2=sigma_s2)
 
 
 def _closed_form_batch(tracing: np.ndarray, head: np.ndarray,
@@ -278,52 +270,45 @@ def _closed_form_batch(tracing: np.ndarray, head: np.ndarray,
     """d_a of n clusters of one size m for each params, as (n, len(params)).
 
     Takes coordinates: tracing (n, 2), head (n, 2), members (n, m-1, 2).
-    Distances are computed block by block, each block holding at most
-    _PAIR_BLOCK member-pair distances (whole clusters, or row slices of
-    one cluster's pair matrix when that alone exceeds the block), so memory
-    stays bounded for any batch.
+    Distances are computed a block of whole clusters at a time, each block
+    holding at most _PAIR_BLOCK member-pair distances (one cluster if its
+    pair matrix alone is larger), so memory does not grow with n.
     """
     n, k = members.shape[:2]
-    rows = max(1, min(k, _PAIR_BLOCK // max(k, 1)))  # pair-matrix rows per slice
-    step = max(1, _PAIR_BLOCK // max(rows * k, 1))   # clusters per block
+    step = max(1, _PAIR_BLOCK // max(k * k, 1))  # clusters per block
     d_a = np.empty((n, len(params)))
     for lo in range(0, n, step):
         s = tracing[lo:lo + step, None]
         h = head[lo:lo + step, None]
         mem = members[lo:lo + step]
-        pair_slices = (point_distances(mem[:, r:r + rows, None], mem[:, None])
-                       for r in range(0, k, rows))
         d_a[lo:lo + step] = _closed_form_d_a(
             k + 1, point_distances(mem, s), point_distances(h, s)[:, 0],
-            point_distances(mem, h), pair_slices, betas, params)
+            point_distances(mem, h), point_distances(mem[:, :, None],
+                                                     mem[:, None]),
+            betas, params)
     return d_a
 
 
 def _closed_form_d_a(m: int, tracing_to_members: np.ndarray,
                      tracing_to_head: np.ndarray,
                      head_to_members: np.ndarray,
-                     pair_slices: Iterable[np.ndarray], betas: BetaFactors,
+                     member_distances: np.ndarray, betas: BetaFactors,
                      params: Sequence[CorrelationParams]) -> np.ndarray:
     """The module-doc formula for c clusters of size m, as (c, len(params)).
 
-    Distances carry a leading cluster axis: (c, m-1), (c,), (c, m-1), and
-    `pair_slices` yields the member-pair matrices in row slices of shape
-    (c, rows, m-1) whose kernel sums add up to the full matrix's. All
-    distances must be nonnegative; this is not checked here.
+    Distances carry a leading cluster axis: (c, m-1), (c,), (c, m-1) and
+    (c, m-1, m-1).
     """
-    pair_sum = np.zeros((len(tracing_to_head), len(params)))
-    for pairs in pair_slices:
-        for j, p in enumerate(params):
-            pair_sum[:, j] += _kernel_values(pairs, p).sum(axis=(-2, -1))
-    pair_sum -= m - 1  # off-diagonal only; K(0) = 1
     beta, beta_ch = betas.beta, betas.beta_ch
-    d_a = np.empty_like(pair_sum)
+    d_a = np.empty((len(tracing_to_head), len(params)))
     for j, p in enumerate(params):
         cross = (2.0 / m) * (
-            beta * _kernel_values(tracing_to_members, p).sum(axis=-1)
-            + beta_ch * _kernel_values(tracing_to_head, p))
-        k_c = _kernel_values(head_to_members, p).sum(axis=-1)
-        second = (beta ** 2 * pair_sum[:, j] + (m - 1) * beta
+            beta * kernel(tracing_to_members, p).sum(axis=-1)
+            + beta_ch * kernel(tracing_to_head, p))
+        # off-diagonal pairs only; K(0) = 1
+        pair_sum = kernel(member_distances, p).sum(axis=(-2, -1)) - (m - 1)
+        k_c = kernel(head_to_members, p).sum(axis=-1)
+        second = (beta ** 2 * pair_sum + (m - 1) * beta
                   + 2.0 * beta * beta_ch * k_c + beta_ch) / m ** 2
         d_a[:, j] = cross - second
     return d_a
@@ -385,44 +370,25 @@ def accuracy_for_assignment(assignment: ClusterAssignment,
                             noise: Optional[NoiseModel] = None,
                             samples: int = 100_000,
                             seed: int = 0) -> List[AccuracyReport]:
-    """One report per cluster (head-id order), each against its tracing point.
-
-    The closed form scores all clusters of one size in one batched call.
-    """
-    if method not in ("closed_form", "monte_carlo"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "monte_carlo" and noise is None:
-        raise ValueError("monte_carlo needs a noise model")
+    """One report per cluster (head-id order), each against its tracing point."""
     by_id = {tp.id: tp for tp in tracing_points}
-    clusters = sorted(assignment.clusters, key=lambda c: c.head_id)
-    for cluster in clusters:
+    reports = []
+    for cluster in sorted(assignment.clusters, key=lambda c: c.head_id):
         if cluster.head_id not in by_id:
             raise MissingTracingPointError(f"no tracing point for head "
                                            f"CH{cluster.head_id}")
-    if method == "monte_carlo":
-        return [monte_carlo_accuracy(
-            cluster_geometry(c, deployment, by_id[c.head_id]), betas, noise,
-            params, samples=samples, seed=seed + c.head_id) for c in clusters]
-    by_size: Dict[int, List[int]] = {}  # m -> indices into clusters
-    for i, cluster in enumerate(clusters):
-        by_size.setdefault(cluster.m, []).append(i)
-    reports: List[Optional[AccuracyReport]] = [None] * len(clusters)
-    for m, group in by_size.items():
-        positions = [cluster_positions(clusters[i], deployment) for i in group]
-        d_a = _closed_form_batch(
-            _xy([by_id[clusters[i].head_id].position for i in group]),
-            _xy([head for head, _ in positions]),
-            _xy([p for _, members in positions for p in members]
-                ).reshape(len(group), m - 1, 2),
-            betas, [params])
-        for i, value in zip(group, d_a[:, 0].tolist()):
-            reports[i] = _closed_form_report(clusters[i].head_id, m, value)
+        geometry = cluster_geometry(cluster, deployment, by_id[cluster.head_id])
+        if method == "closed_form":
+            reports.append(closed_form_accuracy(geometry, betas, params))
+        elif method == "monte_carlo":
+            if noise is None:
+                raise ValueError("monte_carlo needs a noise model")
+            reports.append(monte_carlo_accuracy(
+                geometry, betas, noise, params, samples=samples,
+                seed=seed + cluster.head_id))
+        else:
+            raise ValueError(f"unknown method {method!r}")
     return reports
-
-
-def _xy(positions: Sequence[Position]) -> np.ndarray:
-    """(len, 2) coordinate array of `positions`."""
-    return np.array([(p.x, p.y) for p in positions], float).reshape(-1, 2)
 
 
 def reports_to_csv(reports: Sequence[AccuracyReport]) -> str:

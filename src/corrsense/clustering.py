@@ -149,23 +149,18 @@ def geometry_from_points(tracing: Position, head: Position,
     )
 
 
-def cluster_positions(cluster: Cluster, deployment: Deployment
-                      ) -> Tuple[Position, List[Position]]:
-    """Head and member positions of a deployed cluster, members in its order."""
-    try:
-        return (deployment.head_by_id(cluster.head_id).position,
-                [deployment.normal_by_id(i).position for i in cluster.members])
-    except KeyError as exc:
-        raise UnknownNodeError(f"node id {exc.args[0]} not in deployment") from exc
-
-
 def cluster_geometry(cluster: Cluster, deployment: Deployment,
                      tracing_point: TracingPoint) -> ClusterGeometry:
     """Distance bundle for a deployed cluster against one tracing point."""
-    head, members = cluster_positions(cluster, deployment)
-    return geometry_from_points(tracing_point.position, head, members,
-                                head_id=cluster.head_id,
-                                member_ids=cluster.members)
+    try:
+        head = deployment.head_by_id(cluster.head_id)
+        members = [deployment.normal_by_id(i) for i in cluster.members]
+    except KeyError as exc:
+        raise UnknownNodeError(f"node id {exc.args[0]} not in deployment") from exc
+    return geometry_from_points(
+        tracing_point.position, head.position, [n.position for n in members],
+        head_id=cluster.head_id, member_ids=cluster.members,
+    )
 
 
 def assignment_kernel_diagnostics(assignment: ClusterAssignment,

@@ -92,13 +92,8 @@ def kernel(d: ArrayLike, params: CorrelationParams) -> Union[float, np.ndarray]:
     dist = np.asarray(d, dtype=float)
     if np.any(dist < 0):
         raise ValueError("distance must be nonnegative")
-    out = _kernel_values(dist, params)
+    out = np.exp(-((dist / params.theta1) ** params.theta2))
     return float(out) if np.isscalar(d) or dist.ndim == 0 else out
-
-
-def _kernel_values(d: np.ndarray, params: CorrelationParams) -> np.ndarray:
-    """The kernel on a float array of distances already known nonnegative."""
-    return np.exp(-((d / params.theta1) ** params.theta2))
 
 
 def is_strongly_correlated(d: float, params: CorrelationParams) -> bool:
