@@ -14,8 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from corrsense import default_config, run_experiment_csv
-
-EXPERIMENTS = ("setup1", "setup2", "fig5", "fig6", "fig8", "fig9", "optimal")
+from corrsense.experiments import EXPERIMENTS
 
 
 def main() -> int:

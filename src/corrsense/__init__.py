@@ -21,8 +21,9 @@ from .deployment import (Deployment, FieldSpec, Node, NodeKind, Position,
                          deploy_random_normals, deployment_from_text,
                          deployment_to_text, place_nodes)
 from .errors import (DegenerateWindowError, DuplicateNodeError,
-                     LengthMismatchError, MissingTracingPointError,
-                     NoHeadsError, NoPlateauError, NotPositiveDefiniteError,
+                     InvalidConfigError, LengthMismatchError,
+                     MissingTracingPointError, NoHeadsError, NoPlateauError,
+                     NonFiniteCoordinateError, NotPositiveDefiniteError,
                      OutOfFieldError, SimulationError, SweepInvariantError,
                      UnknownNodeError)
 from .experiments import (ExperimentConfig, SweepPoint, SweepResult,
@@ -62,5 +63,5 @@ __all__ = [
     "SimulationError", "LengthMismatchError", "DegenerateWindowError",
     "OutOfFieldError", "DuplicateNodeError", "NoHeadsError", "UnknownNodeError",
     "NotPositiveDefiniteError", "MissingTracingPointError", "NoPlateauError",
-    "SweepInvariantError",
+    "SweepInvariantError", "InvalidConfigError", "NonFiniteCoordinateError",
 ]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -401,23 +401,16 @@ def reports_to_csv(reports: Sequence[AccuracyReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _model_record(params: CorrelationParams, noise: NoiseModel) -> dict:
+    """Kernel parameters and noise model, as every JSON output records them."""
+    return {"params": {**asdict(params), "kernel": "power_exponential",
+                       "log_base": "e"},
+            "noise": asdict(noise)}
+
+
 def reports_to_json(reports: Sequence[AccuracyReport],
                     params: CorrelationParams, noise: NoiseModel,
                     seed: int) -> str:
-    payload = {
-        "params": {"theta1": params.theta1, "theta2": params.theta2,
-                   "tau": params.tau, "kernel": "power_exponential",
-                   "log_base": "e"},
-        "noise": {"sigma_s2": noise.sigma_s2, "sigma_n2": noise.sigma_n2,
-                  "sigma_nt2": noise.sigma_nt2, "sigma_nch2": noise.sigma_nch2,
-                  "power": noise.power},
-        "seed": seed,
-        "reports": [
-            {"head_id": r.head_id, "m": r.m, "method": r.method,
-             "d_a": r.d_a, "distortion": r.distortion,
-             "sigma_s2": r.sigma_s2, "mc_samples": r.mc_samples,
-             "mc_std_error": r.mc_std_error}
-            for r in reports
-        ],
-    }
+    payload = {**_model_record(params, noise), "seed": seed,
+               "reports": [asdict(r) for r in reports]}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

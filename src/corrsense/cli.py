@@ -1,15 +1,19 @@
 """Command-line interface.
 
-Subcommands: deploy, cluster, accuracy, and experiment. Any long flag may
-also come from a plain-text config file of `key = value` lines (# starts a
-comment); explicit flags win over file values. Exit code is 0 on success
-and 2 with a one-line diagnostic on any simulation error.
+Subcommands: deploy, cluster, accuracy, and experiment. Each takes the
+options _COMMANDS lists for it, as long flags or from a plain-text config
+file of `key = value` lines (# starts a comment); explicit flags win over
+file values. A key the subcommand does not take, or one its other options
+leave unused, is an error. Exit code is 0 on success and 2 with a one-line
+diagnostic on any simulation error.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Optional, Sequence
 
@@ -20,28 +24,45 @@ from .clustering import assign_clusters, assignment_to_csv
 from .deployment import (FieldSpec, build_grid_deployment, deployment_from_text,
                          deployment_to_text)
 from .errors import SimulationError
-from .experiments import (ExperimentConfig, default_config, resolve_noise_profile,
+from .experiments import (EXPERIMENTS, NOISE_PROFILES, default_config,
                           run_experiment_csv, run_experiment_json)
 from .spatial_stats import CorrelationParams
 
-_EXPERIMENTS = ("setup1", "setup2", "fig5", "fig6", "fig8", "fig9", "optimal")
-
-_COERCE = {
-    "seed": int, "runs": int, "grid_rows": int, "grid_cols": int,
-    "normals": int, "samples": int,
-    "theta1": float, "theta2": float, "tau": float,
-    "width": float, "height": float, "epsilon": float,
-    "noise_profile": str, "format": str, "out": str, "deployment": str,
-    "method": str,
+# key -> (type, default); a tuple type lists the allowed values. `experiment`
+# takes its defaults from the experiment's own config instead.
+_OPTIONS = {
+    "seed": (int, 7),
+    "width": (float, 120.0), "height": (float, 120.0),
+    "grid_rows": (int, 5), "grid_cols": (int, 5), "normals": (int, 100),
+    "deployment": (str, None),
+    "theta1": (float, 100.0), "theta2": (float, 1.0), "tau": (float, 0.6),
+    "noise_profile": (tuple(NOISE_PROFILES), "default"),
+    "method": (("closed_form", "monte_carlo"), "closed_form"),
+    "samples": (int, 100_000),
+    "runs": (int, None), "epsilon": (float, None),
+    "format": (("csv", "json"), "csv"),
+    "out": (str, None),
 }
 
-_DEFAULTS = {
-    "seed": 7, "theta1": 100.0, "theta2": 1.0, "tau": 0.6,
-    "noise_profile": "default", "format": "csv",
-    "width": 120.0, "height": 120.0, "grid_rows": 5, "grid_cols": 5,
-    "normals": 100, "method": "closed_form", "samples": 100_000,
-    "epsilon": 0.01,
+_FIELD = ("seed", "width", "height", "grid_rows", "grid_cols", "normals")
+_MODEL = ("theta1", "theta2", "tau", "noise_profile")
+_OUTPUT = ("format", "out")
+
+# subcommand -> (help, the option keys it takes)
+_COMMANDS = {
+    "deploy": ("build a seeded field deployment", _FIELD + ("out",)),
+    "cluster": ("assign normal nodes to nearest heads",
+                _FIELD + ("deployment",) + _OUTPUT),
+    "accuracy": ("per-cluster accuracy reports",
+                 _FIELD + ("deployment",) + _MODEL + ("method", "samples")
+                 + _OUTPUT),
+    "experiment": ("run a canonical experiment",
+                   _FIELD + _MODEL + ("runs", "epsilon") + _OUTPUT),
 }
+
+# option keys whose ExperimentConfig setting has another name
+_SETTINGS = {"width": "field_width", "height": "field_height",
+             "normals": "n_normals"}
 
 
 def _read_config_file(path: str) -> Dict[str, str]:
@@ -57,46 +78,39 @@ def _read_config_file(path: str) -> Dict[str, str]:
     return values
 
 
-def _resolve(args: argparse.Namespace) -> Dict[str, object]:
-    """Merge precedence: explicit flag > config file > built-in default."""
+def _coerce(key: str, text: str) -> object:
+    kind, _ = _OPTIONS[key]
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise ValueError(f"{key} must be one of {', '.join(kind)}, "
+                             f"got {text!r}")
+        return text
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ValueError(f"config key {key}: {exc}") from None
+
+
+def _given(args: argparse.Namespace) -> Dict[str, object]:
+    """The options set by flag or config file; an explicit flag wins."""
+    keys = _COMMANDS[args.command][1]
     file_values = _read_config_file(args.config) if args.config else {}
-    unknown = sorted(set(file_values) - set(_COERCE))
+    unknown = sorted(set(file_values) - set(keys))
     if unknown:
-        raise ValueError(f"unknown config key(s) in {args.config}: "
-                         f"{', '.join(unknown)}; known keys: "
-                         f"{', '.join(sorted(_COERCE))}")
-    resolved: Dict[str, object] = {}
-    for key, coerce in _COERCE.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
-        elif key in file_values:
-            resolved[key] = coerce(file_values[key])
-        elif key in _DEFAULTS:
-            resolved[key] = _DEFAULTS[key]
-    if "runs" not in resolved:  # experiment-specific default applied later
-        resolved["runs"] = None
-    return resolved
+        raise ValueError(f"unknown config key(s) for {args.command} in "
+                         f"{args.config}: {', '.join(unknown)}; known keys: "
+                         f"{', '.join(sorted(keys))}")
+    given = {key: _coerce(key, val) for key, val in file_values.items()}
+    given.update((key, getattr(args, key)) for key in keys
+                 if getattr(args, key) is not None)
+    return given
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key = value file supplying any flag")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--theta1", type=float)
-    parser.add_argument("--theta2", type=float)
-    parser.add_argument("--tau", type=float)
-    parser.add_argument("--noise-profile", dest="noise_profile",
-                        choices=("default", "noiseless"))
-    parser.add_argument("--runs", type=int)
-    parser.add_argument("--out")
-    parser.add_argument("--format", choices=("csv", "json"))
+def _reject_unused(given: Dict[str, object], unused: Sequence[str],
+                   why: str) -> None:
+    flags = [f"--{key.replace('_', '-')}" for key in given if key in unused]
+    if flags:
+        raise ValueError(f"{', '.join(flags)} not used {why}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,97 +121,71 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"corrsense {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("deploy", help="build a seeded field deployment")
-    p.add_argument("--width", type=float)
-    p.add_argument("--height", type=float)
-    p.add_argument("--grid-rows", dest="grid_rows", type=int)
-    p.add_argument("--grid-cols", dest="grid_cols", type=int)
-    p.add_argument("--normals", type=int)
-    _add_common(p)
-
-    p = sub.add_parser("cluster", help="assign normal nodes to nearest heads")
-    p.add_argument("--deployment", help="deployment file from `deploy`")
-    _add_common(p)
-
-    p = sub.add_parser("accuracy", help="per-cluster accuracy reports")
-    p.add_argument("--deployment", help="deployment file from `deploy`")
-    p.add_argument("--method", choices=("closed_form", "monte_carlo"))
-    p.add_argument("--samples", type=int)
-    _add_common(p)
-
-    p = sub.add_parser("experiment", help="run a canonical experiment")
-    p.add_argument("name", choices=_EXPERIMENTS)
-    _add_common(p)
+    for command, (help_text, keys) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if command == "experiment":
+            p.add_argument("name", choices=tuple(EXPERIMENTS))
+        p.add_argument("--config",
+                       help="key = value file supplying any of these flags")
+        for key in keys:
+            kind, _ = _OPTIONS[key]
+            choices = kind if isinstance(kind, tuple) else None
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                           type=None if choices else kind, choices=choices)
     return parser
 
 
 def _load_deployment(opts: Dict[str, object]):
-    path = opts.get("deployment")
-    if path:
-        return deployment_from_text(Path(str(path)).read_text())
+    if opts.get("deployment"):
+        return deployment_from_text(Path(opts["deployment"]).read_text())
     return build_grid_deployment(
-        FieldSpec(float(opts["width"]), float(opts["height"])),
-        int(opts["grid_rows"]), int(opts["grid_cols"]),
-        int(opts["normals"]), seed=int(opts["seed"]))
+        FieldSpec(opts["width"], opts["height"]), opts["grid_rows"],
+        opts["grid_cols"], opts["normals"], seed=opts["seed"])
 
 
-def _cmd_deploy(opts: Dict[str, object]) -> str:
-    dep = build_grid_deployment(
-        FieldSpec(float(opts["width"]), float(opts["height"])),
-        int(opts["grid_rows"]), int(opts["grid_cols"]),
-        int(opts["normals"]), seed=int(opts["seed"]))
-    return deployment_to_text(dep)
-
-
-def _cmd_cluster(opts: Dict[str, object]) -> str:
-    assignment = assign_clusters(_load_deployment(opts))
-    if opts["format"] == "json":
-        import json
-        rows = [{"head_id": c.head_id, "members": list(c.members)}
-                for c in assignment.clusters]
-        return json.dumps(rows, indent=2) + "\n"
-    return assignment_to_csv(assignment)
-
-
-def _cmd_accuracy(opts: Dict[str, object]) -> str:
+def _run(command: str, given: Dict[str, object]) -> str:
+    """deploy, cluster or accuracy, with table defaults for unset keys."""
+    opts = {key: given.get(key, _OPTIONS[key][1])
+            for key in _COMMANDS[command][1]}
+    monte_carlo = opts.get("method") == "monte_carlo"
+    unused = [] if monte_carlo else ["samples"]
+    if opts.get("deployment"):  # the file gives the field; MC still takes a seed
+        unused += _FIELD[1:] if monte_carlo else _FIELD
+    _reject_unused(given, unused, f"by {command} with the other options given")
     dep = _load_deployment(opts)
-    params = CorrelationParams(float(opts["theta1"]), float(opts["theta2"]),
-                               float(opts["tau"]))
-    noise = resolve_noise_profile(str(opts["noise_profile"]))
+    if command == "deploy":
+        return deployment_to_text(dep)
+    if command == "cluster":
+        assignment = assign_clusters(dep)
+        if opts["format"] == "json":
+            rows = [{"head_id": c.head_id, "members": list(c.members)}
+                    for c in assignment.clusters]
+            return json.dumps(rows, indent=2) + "\n"
+        return assignment_to_csv(assignment)
+    params = CorrelationParams(opts["theta1"], opts["theta2"], opts["tau"])
+    noise = NOISE_PROFILES[opts["noise_profile"]]()
     reports = accuracy_for_assignment(
         assign_clusters(dep), dep, dep.tracing_points, beta_factors(noise),
-        params, method=str(opts["method"]), noise=noise,
-        samples=int(opts["samples"]), seed=int(opts["seed"]))
+        params, method=opts["method"], noise=noise, samples=opts["samples"],
+        seed=opts["seed"])
     if opts["format"] == "json":
-        return reports_to_json(reports, params, noise, seed=int(opts["seed"]))
+        return reports_to_json(reports, params, noise, seed=opts["seed"])
     return reports_to_csv(reports)
 
 
-def _cmd_experiment(name: str, opts: Dict[str, object]) -> str:
+def _run_experiment(name: str, given: Dict[str, object]) -> str:
+    """The named experiment's default config, with the given settings."""
+    reads = EXPERIMENTS[name].reads + _OUTPUT
+    _reject_unused(given, [key for key in given
+                           if _SETTINGS.get(key, key) not in reads],
+                   f"by experiment {name}")
+    settings = {_SETTINGS.get(key, key): value for key, value in given.items()
+                if key not in _OUTPUT}
+    theta = {key: settings.pop(key) for key in ("theta1", "theta2", "tau")
+             if key in settings}
     config = default_config(name)
-    overrides = dict(
-        params=CorrelationParams(float(opts["theta1"]), float(opts["theta2"]),
-                                 float(opts["tau"])),
-        noise_profile=str(opts["noise_profile"]),
-        seed=int(opts["seed"]),
-        field_width=float(opts["width"]),
-        field_height=float(opts["height"]),
-        grid_rows=int(opts["grid_rows"]),
-        grid_cols=int(opts["grid_cols"]),
-        n_normals=int(opts["normals"]),
-        epsilon=float(opts["epsilon"]),
-    )
-    if opts.get("runs") is not None:
-        overrides["runs"] = int(opts["runs"])  # else keep experiment default
-    config = ExperimentConfig(
-        experiment=name,
-        theta1_values=config.theta1_values,
-        radius_values=config.radius_values,
-        m_values=config.m_values,
-        runs=overrides.pop("runs", config.runs),
-        **overrides)
-    if opts["format"] == "json":
+    config = replace(config, params=replace(config.params, **theta), **settings)
+    if given.get("format") == "json":
         return run_experiment_json(config)
     return run_experiment_csv(config)
 
@@ -205,18 +193,15 @@ def _cmd_experiment(name: str, opts: Dict[str, object]) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        opts = _resolve(args)
-        if args.command == "deploy":
-            text = _cmd_deploy(opts)
-        elif args.command == "cluster":
-            text = _cmd_cluster(opts)
-        elif args.command == "accuracy":
-            text = _cmd_accuracy(opts)
-        elif args.command == "experiment":
-            text = _cmd_experiment(args.name, opts)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ValueError(f"unknown command {args.command!r}")
-        _emit(text, opts.get("out"))
+        given = _given(args)
+        if args.command == "experiment":
+            text = _run_experiment(args.name, given)
+        else:
+            text = _run(args.command, given)
+        if given.get("out") is None:
+            sys.stdout.write(text)
+        else:
+            Path(given["out"]).write_text(text)
     except (SimulationError, ValueError, OSError) as exc:
         print(f"corrsense: error: {exc}", file=sys.stderr)
         return 2

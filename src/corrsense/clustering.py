@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .deployment import Deployment, Node, Position, TracingPoint
-from .errors import NoHeadsError, UnknownNodeError
+from .errors import NoHeadsError, NonFiniteCoordinateError, UnknownNodeError
 from .spatial_stats import CorrelationParams, kernel
 
 
@@ -134,9 +134,13 @@ def geometry_from_points(tracing: Position, head: Position,
                          member_ids: Optional[Sequence[int]] = None,
                          ) -> ClusterGeometry:
     """Build the distance bundle from explicit coordinates."""
-    s = np.array([tracing.x, tracing.y])
-    h = np.array([head.x, head.y])
-    mem = np.array([[p.x, p.y] for p in members]).reshape(-1, 2)
+    pts = np.array([(tracing.x, tracing.y), (head.x, head.y)]
+                   + [(p.x, p.y) for p in members], dtype=float)
+    if not np.isfinite(pts).all():
+        bad = pts[~np.isfinite(pts).all(axis=1)][0]
+        raise NonFiniteCoordinateError(
+            f"cluster coordinates must be finite, got ({bad[0]}, {bad[1]})")
+    s, h, mem = pts[0], pts[1], pts[2:]
     if member_ids is None:
         member_ids = tuple(range(1, len(members) + 1))
     return ClusterGeometry(

@@ -9,7 +9,7 @@ Deployments are immutable and fully determined by (field, counts, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -36,8 +36,9 @@ class FieldSpec:
     height: float
 
     def __post_init__(self):
-        if not (self.width > 0 and self.height > 0):
-            raise ValueError("field dimensions must be positive")
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise ValueError(f"field dimensions must be finite and positive, "
+                             f"got {self.width} x {self.height}")
 
     def contains(self, x: float, y: float) -> bool:
         return 0.0 <= x <= self.width and 0.0 <= y <= self.height
@@ -185,12 +186,19 @@ def assign_tracing_points(deployment: Deployment,
 
     if deployment.grid is None:
         raise ValueError("cell-random tracing points need a grid deployment")
-    rows, cols = deployment.grid
-    cell_w = deployment.field.width / cols
-    cell_h = deployment.field.height / rows
+    return _cell_tracing_points(deployment.field, deployment.heads,
+                                deployment.grid, seed)
+
+
+def _cell_tracing_points(field: FieldSpec, heads: Sequence[Node],
+                         grid: Tuple[int, int], seed: int) -> Tuple[TracingPoint, ...]:
+    """One tracing point uniform in each head's grid cell, in head-id order."""
+    rows, cols = grid
+    cell_w = field.width / cols
+    cell_h = field.height / rows
     rng = np.random.default_rng(np.random.SeedSequence((seed, _TAG_TRACING)))
     points = []
-    for head in sorted(deployment.heads, key=lambda n: n.id):
+    for head in sorted(heads, key=lambda n: n.id):
         r, c = divmod(head.id - 1, cols)
         x = rng.uniform(c * cell_w, (c + 1) * cell_w)
         y = rng.uniform(r * cell_h, (r + 1) * cell_h)
@@ -201,14 +209,10 @@ def assign_tracing_points(deployment: Deployment,
 def build_grid_deployment(field: FieldSpec, rows: int, cols: int,
                           n_normals: int, seed: int) -> Deployment:
     """Grid heads + seeded random normals + one cell-random tracing point per head."""
-    dep = Deployment(
-        field=field,
-        heads=deploy_grid_heads(field, rows, cols),
-        normals=deploy_random_normals(field, n_normals, seed),
-        seed=seed,
-        grid=(rows, cols),
-    )
-    return replace(dep, tracing_points=assign_tracing_points(dep, seed=seed))
+    heads = deploy_grid_heads(field, rows, cols)
+    return Deployment(field, heads, deploy_random_normals(field, n_normals, seed),
+                      _cell_tracing_points(field, heads, (rows, cols), seed),
+                      seed=seed, grid=(rows, cols))
 
 
 # line-oriented text format: header records, then kind,id,x,y per node and
@@ -232,9 +236,7 @@ _RECORD_FIELDS = {"field": 2, "seed": 1, "grid": 2, "CH": 3, "N": 3, "T": 3}
 
 
 def deployment_from_text(text: str) -> Deployment:
-    field = None
-    seed = 0
-    grid = None
+    headers = {}  # field, seed and grid: the fields after the tag
     heads, normals, points = [], [], []
     for raw in text.splitlines():
         line = raw.strip()
@@ -247,12 +249,10 @@ def deployment_from_text(text: str) -> Deployment:
         if len(rest) != expected:
             raise ValueError(f"{tag} record needs {expected} fields after "
                              f"the tag, got {len(rest)}: {line!r}")
-        if tag == "field":
-            field = FieldSpec(float(rest[0]), float(rest[1]))
-        elif tag == "seed":
-            seed = int(rest[0])
-        elif tag == "grid":
-            grid = (int(rest[0]), int(rest[1]))
+        if tag in ("field", "seed", "grid"):
+            if tag in headers:
+                raise ValueError(f"repeated {tag} header record: {line!r}")
+            headers[tag] = rest
         elif tag in ("CH", "N"):
             kind = NodeKind.CLUSTER_HEAD if tag == "CH" else NodeKind.NORMAL
             node = Node(id=int(rest[0]), kind=kind,
@@ -261,7 +261,11 @@ def deployment_from_text(text: str) -> Deployment:
         else:  # T
             points.append(TracingPoint(id=int(rest[0]),
                                        position=Position(float(rest[1]), float(rest[2]))))
-    if field is None:
+    if "field" not in headers:
         raise ValueError("missing field header record")
-    return Deployment(field=field, heads=tuple(heads), normals=tuple(normals),
-                      tracing_points=tuple(points), seed=seed, grid=grid)
+    return Deployment(field=FieldSpec(*map(float, headers["field"])),
+                      heads=tuple(heads), normals=tuple(normals),
+                      tracing_points=tuple(points),
+                      seed=int(headers.get("seed", [0])[0]),
+                      grid=tuple(map(int, headers["grid"])) if "grid" in headers
+                      else None)

@@ -43,3 +43,11 @@ class SweepInvariantError(SimulationError):
 
 class DuplicateNodeError(SimulationError):
     """Two nodes of one kind, or two tracing points, share an id."""
+
+
+class InvalidConfigError(SimulationError, ValueError):
+    """An experiment setting lies outside its valid range."""
+
+
+class NonFiniteCoordinateError(SimulationError, ValueError):
+    """A coordinate is NaN or infinite."""

@@ -15,26 +15,27 @@ byte-identical CSV. The six canonical runs are
 plus `optimal`, which locates the smallest cluster size whose accuracy
 already sits on a sweep's terminal plateau. Structural properties of each
 sweep (monotonicity, the 2-to-3 node jump, terminal plateaus) are asserted
-after every run and violation fails the run.
+after every run and violation fails the run. EXPERIMENTS holds each run's
+defaults, the settings it reads, its runner and its CSV and JSON writers.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ._version import __version__
 from .accuracy import (BetaFactors, NoiseModel, _closed_form_batch,
-                       accuracy_for_assignment, beta_factors,
+                       _model_record, accuracy_for_assignment, beta_factors,
                        closed_form_accuracy)
 from .clustering import ClusterGeometry, assign_clusters, geometry_from_points
 from .deployment import (RNG_NAME, Deployment, FieldSpec, Position,
                          build_grid_deployment)
-from .errors import NoPlateauError, SweepInvariantError
+from .errors import InvalidConfigError, NoPlateauError, SweepInvariantError
 from .spatial_stats import CorrelationParams
 
 NOISE_PROFILES = {
@@ -50,14 +51,6 @@ REGION_HEAD = (0.0, 0.0)
 
 _TAG_RUN = 10
 _TAG_REGION = 20
-
-
-def resolve_noise_profile(name: str) -> NoiseModel:
-    try:
-        return NOISE_PROFILES[name]()
-    except KeyError:
-        raise ValueError(f"unknown noise profile {name!r}; "
-                         f"choose from {sorted(NOISE_PROFILES)}") from None
 
 
 @dataclass(frozen=True)
@@ -77,38 +70,43 @@ class ExperimentConfig:
     m_values: Tuple[int, ...] = ()
     epsilon: float = 0.01
 
+    def __post_init__(self):
+        for name, ok, rule in (
+                ("runs", self.runs >= 1, ">= 1"),
+                ("epsilon", self.epsilon > 0, "> 0"),
+                ("field_width", 0 < self.field_width < math.inf, "finite, > 0"),
+                ("field_height", 0 < self.field_height < math.inf, "finite, > 0"),
+                ("grid_rows", self.grid_rows >= 1, ">= 1"),
+                ("grid_cols", self.grid_cols >= 1, ">= 1"),
+                ("n_normals", self.n_normals >= 0, ">= 0"),
+                ("noise_profile", self.noise_profile in NOISE_PROFILES,
+                 f"one of {', '.join(NOISE_PROFILES)}"),
+                ("theta1_values", all(t > 0 for t in self.theta1_values), "> 0"),
+                ("radius_values", all(0 <= r < math.inf for r in self.radius_values),
+                 "finite, >= 0"),
+                ("m_values", all(m >= 1 for m in self.m_values), ">= 1")):
+            if not ok:
+                raise InvalidConfigError(f"{self.experiment}: {name} must be "
+                                         f"{rule}, got {getattr(self, name)!r}")
+
     def noise(self) -> NoiseModel:
-        return resolve_noise_profile(self.noise_profile)
+        return NOISE_PROFILES[self.noise_profile]()
 
     def betas(self) -> BetaFactors:
         return beta_factors(self.noise())
 
 
-_DEFAULTS = {
-    "setup1": dict(runs=1),
-    "setup2": dict(runs=100),
-    "fig5": dict(theta1_values=(50.0, 100.0),
-                 radius_values=(1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0,
-                                40.0, 50.0)),
-    "fig6": dict(theta1_values=(50.0, 100.0, 200.0, 400.0),
-                 m_values=tuple(range(2, 17))),
-    "fig8": dict(theta1_values=(50.0, 400.0)),
-    "fig9": dict(theta1_values=(50.0, 100.0, 200.0, 400.0),
-                 m_values=(2, 3, 4, 5, 6, 8, 10, 12, 15, 20, 25, 30, 40, 50,
-                           60, 80, 100),
-                 runs=100),
-    "optimal": dict(theta1_values=(400.0,),
-                    m_values=(2, 3, 4, 5, 6, 8, 10, 12, 15, 20, 25, 30, 40, 50,
-                              60, 80, 100),
-                    runs=100),
-}
+def _lookup(experiment: str) -> "Experiment":
+    try:
+        return EXPERIMENTS[experiment]
+    except KeyError:
+        raise ValueError(f"unknown experiment {experiment!r}; "
+                         f"choose from {', '.join(EXPERIMENTS)}") from None
 
 
 def default_config(experiment: str) -> ExperimentConfig:
-    if experiment not in _DEFAULTS:
-        raise ValueError(f"unknown experiment {experiment!r}; "
-                         f"choose from {sorted(_DEFAULTS)}")
-    return ExperimentConfig(experiment=experiment, **_DEFAULTS[experiment])
+    return ExperimentConfig(experiment=experiment,
+                            **_lookup(experiment).defaults)
 
 
 @dataclass(frozen=True)
@@ -141,30 +139,37 @@ class AverageRow:
     d_a: float
 
 
-def _echo_lines(config: ExperimentConfig) -> List[str]:
+def _provenance(config: ExperimentConfig) -> dict:
+    """Everything that determines a run's output. The CSV header renders it
+    as comment lines (_echo_lines); the JSON output carries it as `config`."""
     noise = config.noise()
-    betas = config.betas()
+    betas = beta_factors(noise)
+    model = _model_record(config.params, noise)
+    record = {"version": __version__, "rng": RNG_NAME, **asdict(config),
+              **model["params"], "noise": model["noise"],
+              "beta": betas.beta, "beta_ch": betas.beta_ch}
+    del record["params"]  # flattened into theta1, theta2 and tau
+    return record
+
+
+def _echo_lines(config: ExperimentConfig) -> List[str]:
+    r = _provenance(config)
     lines = [
-        f"# corrsense {__version__} experiment={config.experiment}",
-        f"# seed={config.seed} runs={config.runs} rng={RNG_NAME}",
-        f"# field={config.field_width:g}x{config.field_height:g}"
-        f" grid={config.grid_rows}x{config.grid_cols}"
-        f" normals={config.n_normals} epsilon={config.epsilon:g}",
-        f"# kernel=power_exponential log=natural theta1={config.params.theta1:g}"
-        f" theta2={config.params.theta2:g} tau={config.params.tau:g}",
-        f"# noise={config.noise_profile} sigma_s2={noise.sigma_s2:g}"
-        f" sigma_n2={noise.sigma_n2:g} sigma_nt2={noise.sigma_nt2:g}"
-        f" sigma_nch2={noise.sigma_nch2:g} power={noise.power:g}"
-        f" beta={betas.beta:.6f} beta_ch={betas.beta_ch:.6f}",
+        f"# corrsense {r['version']} experiment={r['experiment']}",
+        f"# seed={r['seed']} runs={r['runs']} rng={r['rng']}",
+        f"# field={r['field_width']:g}x{r['field_height']:g}"
+        f" grid={r['grid_rows']}x{r['grid_cols']}"
+        f" normals={r['n_normals']} epsilon={r['epsilon']:g}",
+        f"# kernel={r['kernel']} log=natural theta1={r['theta1']:g}"
+        f" theta2={r['theta2']:g} tau={r['tau']:g}",
+        f"# noise={r['noise_profile']} "
+        + " ".join(f"{k}={v:g}" for k, v in r["noise"].items())
+        + f" beta={r['beta']:.6f} beta_ch={r['beta_ch']:.6f}",
     ]
-    if config.theta1_values:
-        lines.append("# theta1_values=" +
-                     ",".join(f"{t:g}" for t in config.theta1_values))
-    if config.radius_values:
-        lines.append("# radius_values=" +
-                     ",".join(f"{r:g}" for r in config.radius_values))
-    if config.m_values:
-        lines.append("# m_values=" + ",".join(str(m) for m in config.m_values))
+    for key, fmt in (("theta1_values", "{:g}"), ("radius_values", "{:g}"),
+                     ("m_values", "{}")):
+        if r[key]:
+            lines.append(f"# {key}=" + ",".join(map(fmt.format, r[key])))
     return lines
 
 
@@ -243,8 +248,6 @@ def run_setup2(config: ExperimentConfig) -> List[AverageRow]:
     Heads stay on the grid; normals and tracing points re-randomize each
     run. Heads left without members still contribute their own sensing.
     """
-    if config.runs < 1:
-        raise ValueError("runs must be >= 1")
     totals: Dict[int, float] = {}
     for run in range(config.runs):
         _, rows = _setup_run(config, run=run)
@@ -328,8 +331,6 @@ def run_fig9(config: ExperimentConfig) -> List[SweepResult]:
     uniformly over the region; the same geometry serves every theta1, so
     curves differ only through the kernel range.
     """
-    if config.runs < 1:
-        raise ValueError("runs must be >= 1")
     betas = config.betas()
     params = [replace(config.params, theta1=t) for t in config.theta1_values]
     tracing = np.tile(REGION_TRACING, (config.runs, 1))
@@ -523,67 +524,65 @@ def optimal_to_csv(rows: Sequence[OptimalRow],
     return "\n".join(lines) + "\n"
 
 
-_RUNNERS = {
-    "setup1": (run_setup1, setup1_to_csv),
-    "setup2": (run_setup2, setup2_to_csv),
-    "fig5": (run_fig5, sweeps_to_csv),
-    "fig6": (run_fig6, sweeps_to_csv),
-    "fig8": (run_fig8, sweeps_to_csv),
-    "fig9": (run_fig9, sweeps_to_csv),
-    "optimal": (run_optimal, optimal_to_csv),
+# --- registry -----------------------------------------------------------------
+
+class Experiment(NamedTuple):
+    defaults: dict  # ExperimentConfig fields that differ from the class defaults
+    reads: Tuple[str, ...]  # settings the runner uses (params split per field)
+    run: Callable
+    to_csv: Callable
+    to_rows: Callable = lambda rows: [asdict(r) for r in rows]  # JSON rows
+
+
+_MODEL_READS = ("theta2", "tau", "noise_profile")
+_FIELD_READS = ("seed", "theta1", "field_width", "field_height", "grid_rows",
+                "grid_cols", "n_normals")
+_FIG9_M = (2, 3, 4, 5, 6, 8, 10, 12, 15, 20, 25, 30, 40, 50, 60, 80, 100)
+
+EXPERIMENTS: Dict[str, Experiment] = {
+    "setup1": Experiment(
+        {}, _MODEL_READS + _FIELD_READS, run_setup1, setup1_to_csv,
+        lambda rows: [{"head_id": r.head_id, "members": list(r.member_ids),
+                       "d_a": r.d_a} for r in rows]),
+    "setup2": Experiment(
+        dict(runs=100), _MODEL_READS + _FIELD_READS + ("runs",), run_setup2,
+        setup2_to_csv,
+        lambda rows: [{"head_id": r.head_id, "avg_d_a": r.d_a} for r in rows]),
+    "fig5": Experiment(
+        dict(theta1_values=(50.0, 100.0),
+             radius_values=(1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0,
+                            40.0, 50.0)),
+        _MODEL_READS + ("theta1_values", "radius_values"),
+        run_fig5, sweeps_to_csv),
+    "fig6": Experiment(
+        dict(theta1_values=(50.0, 100.0, 200.0, 400.0),
+             m_values=tuple(range(2, 17))),
+        _MODEL_READS + ("theta1_values", "m_values"),
+        run_fig6, sweeps_to_csv),
+    "fig8": Experiment(dict(theta1_values=(50.0, 400.0)),
+                       _MODEL_READS + ("theta1_values",),
+                       run_fig8, sweeps_to_csv),
+    "fig9": Experiment(
+        dict(theta1_values=(50.0, 100.0, 200.0, 400.0), m_values=_FIG9_M,
+             runs=100),
+        _MODEL_READS + ("seed", "runs", "theta1_values", "m_values"),
+        run_fig9, sweeps_to_csv),
+    "optimal": Experiment(
+        dict(theta1_values=(400.0,), m_values=_FIG9_M, runs=100),
+        _MODEL_READS + ("seed", "runs", "theta1_values", "m_values", "epsilon"),
+        run_optimal, optimal_to_csv),
 }
 
 
 def run_experiment_csv(config: ExperimentConfig) -> str:
     """Run the configured experiment and render its canonical CSV."""
-    if config.experiment not in _RUNNERS:
-        raise ValueError(f"unknown experiment {config.experiment!r}")
-    runner, to_csv = _RUNNERS[config.experiment]
-    return to_csv(runner(config), config)
-
-
-def _config_echo_dict(config: ExperimentConfig) -> dict:
-    noise = config.noise()
-    return {
-        "version": __version__,
-        "experiment": config.experiment,
-        "seed": config.seed,
-        "runs": config.runs,
-        "rng": RNG_NAME,
-        "kernel": "power_exponential",
-        "log_base": "e",
-        "theta1": config.params.theta1,
-        "theta2": config.params.theta2,
-        "tau": config.params.tau,
-        "noise_profile": config.noise_profile,
-        "noise": {"sigma_s2": noise.sigma_s2, "sigma_n2": noise.sigma_n2,
-                  "sigma_nt2": noise.sigma_nt2, "sigma_nch2": noise.sigma_nch2,
-                  "power": noise.power},
-        "theta1_values": list(config.theta1_values),
-        "radius_values": list(config.radius_values),
-        "m_values": list(config.m_values),
-    }
+    experiment = _lookup(config.experiment)
+    return experiment.to_csv(experiment.run(config), config)
 
 
 def run_experiment_json(config: ExperimentConfig) -> str:
-    """Run the configured experiment and render rows as JSON."""
-    if config.experiment not in _RUNNERS:
-        raise ValueError(f"unknown experiment {config.experiment!r}")
-    runner, _ = _RUNNERS[config.experiment]
-    result = runner(config)
-    if config.experiment == "setup1":
-        rows = [{"head_id": r.head_id, "members": list(r.member_ids),
-                 "d_a": r.d_a} for r in result]
-    elif config.experiment == "setup2":
-        rows = [{"head_id": r.head_id, "avg_d_a": r.d_a} for r in result]
-    elif config.experiment == "optimal":
-        rows = [{"experiment": r.experiment, "theta1": r.theta1,
-                 "epsilon": r.epsilon, "optimal_m": r.optimal_m,
-                 "final_d_a": r.final_d_a} for r in result]
-    else:
-        rows = [{"theta1": r.theta1, "sweep": r.sweep,
-                 "points": [{"m": p.m, "value": p.value, "d_a": p.d_a,
-                             "std_err": p.std_err} for p in r.points]}
-                for r in result]
-    payload = {"config": _config_echo_dict(config), "rows": rows}
+    """Run the configured experiment and render its rows as JSON."""
+    experiment = _lookup(config.experiment)
+    payload = {"config": _provenance(config),
+               "rows": experiment.to_rows(experiment.run(config))}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

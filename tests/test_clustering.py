@@ -12,6 +12,7 @@ from corrsense import (CorrelationParams, Deployment, FieldSpec, Node,
                        assignment_kernel_diagnostics, assignment_to_csv,
                        build_grid_deployment, cluster_geometry,
                        geometry_from_points, place_nodes)
+from corrsense import NonFiniteCoordinateError, SimulationError
 from corrsense.clustering import _ASSIGN_CHUNK
 
 FIELD = FieldSpec(100.0, 100.0)
@@ -239,3 +240,24 @@ class TestDiagnosticsAndCsv:
         dep = deployment_from_coords([(0, 0), (99, 99)], [(1, 1), (98, 98), (2, 2)])
         text = assignment_to_csv(assign_clusters(dep))
         assert text.splitlines() == ["head,members", "CH1,1;3", "CH2,2"]
+
+
+class TestNonFiniteCoordinates:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["tracing", "head", "member"])
+    def test_rejected_before_any_distance(self, bad, where):
+        pts = {"tracing": Position(0, 0), "head": Position(1, 1),
+               "member": Position(2, 2)}
+        pts[where] = Position(bad, 0.0)
+        with pytest.raises(NonFiniteCoordinateError) as exc:
+            geometry_from_points(pts["tracing"], pts["head"], [pts["member"]])
+        assert isinstance(exc.value, SimulationError)
+
+    def test_cli_exits_2_instead_of_nan(self, tmp_path, capsys):
+        from corrsense.cli import main
+        dep = tmp_path / "dep.txt"
+        dep.write_text("field,inf,10\nCH,1,5,5\nN,1,inf,5\nT,1,5,5\n")
+        assert main(["accuracy", "--deployment", str(dep)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("corrsense: error:")

@@ -9,6 +9,7 @@ from corrsense import (Deployment, DuplicateNodeError, FieldSpec, NodeKind,
                        build_grid_deployment, deploy_grid_heads,
                        deploy_random_normals, deployment_from_text,
                        deployment_to_text, place_nodes)
+from corrsense import SimulationError
 
 FIELD = FieldSpec(120.0, 120.0)
 
@@ -222,3 +223,50 @@ class TestSerialization:
     def test_missing_field_header(self):
         with pytest.raises(ValueError):
             deployment_from_text("seed,3\n")
+
+
+class TestFiniteInput:
+    @pytest.mark.parametrize("width,height", [
+        (math.inf, 10.0), (10.0, math.inf), (math.nan, 10.0), (-math.inf, 1.0)])
+    def test_field_must_be_finite(self, width, height):
+        with pytest.raises(ValueError, match="finite"):
+            FieldSpec(width, height)
+
+    @pytest.mark.parametrize("text", [
+        "field,inf,10\nCH,1,5,5\nN,1,inf,5\nT,1,5,5\n",
+        "field,10,nan\nCH,1,5,5\n",
+        "field,10,10\nCH,1,5,5\nN,1,nan,5\nT,1,5,5\n",
+        "field,10,10\nCH,1,5,5\nT,1,5,inf\n",
+    ])
+    def test_text_with_non_finite_values_rejected(self, text):
+        with pytest.raises((ValueError, SimulationError)):
+            deployment_from_text(text)
+
+    @pytest.mark.parametrize("tag,record", [
+        ("field", "field,20,20"), ("seed", "seed,4"), ("grid", "grid,2,2")])
+    def test_repeated_header_rejected(self, tag, record):
+        text = "field,10,10\nseed,3\ngrid,1,1\nCH,1,5,5\n"
+        with pytest.raises(ValueError, match=f"repeated {tag} header"):
+            deployment_from_text(text + record + "\n")
+
+
+class TestBuildOnce:
+    def test_one_deployment_per_build(self, monkeypatch):
+        calls = []
+        original = Deployment.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            original(self)
+
+        monkeypatch.setattr(Deployment, "__post_init__", counting)
+        dep = build_grid_deployment(FIELD, 5, 5, 100, seed=7)
+        assert len(calls) == 1 and calls[0] is dep
+
+    @pytest.mark.parametrize("seed", [0, 7, 123456789])
+    def test_same_points_as_assigning_afterwards(self, seed):
+        from dataclasses import replace
+        dep = build_grid_deployment(FieldSpec(90.0, 60.0), 3, 4, 40, seed=seed)
+        bare = replace(dep, tracing_points=())
+        assert dep.tracing_points == assign_tracing_points(bare, seed=seed)
+        assert dep.normals == deploy_random_normals(dep.field, 40, seed)

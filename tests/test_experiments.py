@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from corrsense import (CorrelationParams, ExperimentConfig, NoPlateauError,
                        run_experiment_csv, run_experiment_json, run_fig5,
                        run_fig6, run_fig8, run_fig9, run_optimal, run_setup1,
                        run_setup2)
+from corrsense import InvalidConfigError, SimulationError
 from corrsense.experiments import region_grid_order
+from corrsense.experiments import EXPERIMENTS
 
 
 def cfg(experiment, **overrides):
@@ -249,3 +252,92 @@ class TestSerializationFormats:
         body = [l for l in text.splitlines() if not l.startswith("#")]
         assert body[0] == "theta1,m,radius,d_a"
         assert len(body) == 1 + 2 * 10
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("experiment,overrides", [
+        ("setup2", dict(runs=0)),
+        ("fig9", dict(runs=-4)),
+        ("optimal", dict(epsilon=0.0)),
+        ("optimal", dict(epsilon=float("nan"))),
+        ("setup1", dict(field_width=float("inf"))),
+        ("setup1", dict(field_height=-1.0)),
+        ("setup1", dict(grid_rows=0)),
+        ("setup1", dict(grid_cols=-2)),
+        ("setup1", dict(n_normals=-1)),
+        ("setup1", dict(noise_profile="loud")),
+        ("fig6", dict(theta1_values=(50.0, 0.0))),
+        ("fig5", dict(radius_values=(1.0, -1.0))),
+        ("fig5", dict(radius_values=(float("inf"),))),
+        ("fig9", dict(m_values=(0, 2))),
+    ])
+    def test_rejects_out_of_range_setting(self, experiment, overrides):
+        with pytest.raises(InvalidConfigError) as exc:
+            cfg(experiment, **overrides)
+        assert isinstance(exc.value, ValueError)
+        assert isinstance(exc.value, SimulationError)
+        assert experiment in str(exc.value)
+
+    def test_defaults_are_valid(self):
+        for name in EXPERIMENTS:
+            assert default_config(name).experiment == name
+
+
+class TestRegistry:
+    def test_reads_name_real_settings(self):
+        settings = {f.name for f in fields(ExperimentConfig)} - {"params"}
+        settings |= {"theta1", "theta2", "tau"}
+        for experiment in EXPERIMENTS.values():
+            assert set(experiment.reads) <= settings
+            assert set(experiment.defaults) <= settings
+
+    def test_unknown_name_fails_the_same_everywhere(self):
+        messages = set()
+        for call in (lambda: default_config("fig7"),
+                     lambda: run_experiment_csv(ExperimentConfig("fig7")),
+                     lambda: run_experiment_json(ExperimentConfig("fig7"))):
+            with pytest.raises(ValueError) as exc:
+                call()
+            messages.add(str(exc.value))
+        assert len(messages) == 1 and "setup1" in messages.pop()
+
+
+def header_pairs(csv_text):
+    """key=value pairs of a CSV's provenance comment lines, with the version."""
+    lines = [l[2:] for l in csv_text.splitlines() if l.startswith("# ")]
+    pairs = {"version": lines[0].split()[1]}
+    for line in lines[:5]:
+        pairs.update(tok.split("=", 1) for tok in line.split() if "=" in tok)
+    for line in lines[5:]:
+        key = line.split("=", 1)[0]
+        if key in ("theta1_values", "radius_values", "m_values"):
+            pairs[key] = line.split("=", 1)[1]
+    return pairs
+
+
+class TestProvenance:
+    @pytest.mark.parametrize("name", ["setup1", "setup2", "fig5", "fig6",
+                                      "fig8", "fig9", "optimal"])
+    def test_json_config_carries_the_csv_header(self, name):
+        config = default_config(name)
+        if name == "setup2":
+            config = cfg(name, runs=4)
+        pairs = header_pairs(run_experiment_csv(config))
+        c = json.loads(run_experiment_json(config))["config"]
+        width, height = pairs.pop("field").split("x")
+        rows, cols = pairs.pop("grid").split("x")
+        assert (float(width), float(height)) == (c["field_width"],
+                                                 c["field_height"])
+        assert (int(rows), int(cols)) == (c["grid_rows"], c["grid_cols"])
+        assert (pairs.pop("log"), c["log_base"]) == ("natural", "e")
+        assert pairs.pop("noise") == c["noise_profile"]
+        for key in ("theta1_values", "radius_values", "m_values"):
+            text = pairs.pop(key, "")
+            assert [float(v) for v in text.split(",") if v] == c[key]
+        renamed = {"normals": "n_normals"}
+        for key, text in pairs.items():
+            value = c["noise"][key] if key in c["noise"] else c[renamed.get(key, key)]
+            if isinstance(value, str):
+                assert text == value, key
+            else:
+                assert float(text) == approx(value, rel=1e-5, abs=1e-6), key
