@@ -20,15 +20,18 @@ from corrsense.experiments import EXPERIMENTS
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="outputs")
+    unseeded = [n for n, e in EXPERIMENTS.items() if "seed" not in e.reads]
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the default seed for every experiment")
+                        help="override the default seed of every experiment "
+                             f"that reads one ({', '.join(unseeded)} do not "
+                             "and keep theirs)")
     args = parser.parse_args()
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name in EXPERIMENTS:
         config = default_config(name)
-        if args.seed is not None:
+        if args.seed is not None and "seed" in EXPERIMENTS[name].reads:
             config = replace(config, seed=args.seed)
         start = time.perf_counter()
         text = run_experiment_csv(config)

@@ -11,10 +11,11 @@ tracing-point value.
 
 Two routes compute d_a: a closed form obtained by expanding the estimator's
 first and second moments under the kernel covariance, and a seeded
-Monte-Carlo estimate that simulates the full observation chain. The closed
+Monte-Carlo estimate that simulates the full observation chain. Both read
+the joint distance matrix of a ClusterGeometry's coordinates. The closed
 form is evaluated for many clusters of one size at once, from stacked
-coordinates, in blocks of bounded memory. In normalized units (sigma_s2 = 1)
-it is
+coordinates, in blocks of bounded memory. In normalized units
+(sigma_s2 = 1) it is
 
     d_a = (2/m) * [beta * sum_i K(d_Si) + beta_ch * K(d_SC)]
         - (1/m^2) * [beta^2 * sum_{i != j} K(d_ij) + (m-1) * beta
@@ -41,7 +42,7 @@ from .spatial_stats import CorrelationParams, kernel
 
 CHOLESKY_JITTER = 1e-10  # relative to sigma_s2, added once on factorization failure
 _MC_CHUNK = 1 << 14  # Monte Carlo draws per chunk; bounds memory for any sample count
-_PAIR_BLOCK = 1 << 15  # member-pair distances per block of the batched closed form
+_PAIR_BLOCK = 1 << 15  # joint distances per block of the batched closed form
 
 
 @dataclass(frozen=True)
@@ -254,63 +255,39 @@ def closed_form_accuracy(geometry: ClusterGeometry, betas: BetaFactors,
                          params: CorrelationParams,
                          sigma_s2: float = 1.0) -> AccuracyReport:
     """Exact normalized accuracy of the averaged estimator (see module doc)."""
-    s_m, s_h, h_m, pairs = (np.asarray(d, float)[None] for d in (
-        geometry.tracing_to_members, geometry.tracing_to_head,
-        geometry.head_to_members, geometry.member_distances))
-    d_a = float(_closed_form_d_a(geometry.m, s_m, s_h, h_m, pairs, betas,
-                                 [params])[0, 0])  # a batch of one cluster
+    d_a = float(_closed_form_batch(geometry.points[None], betas,
+                                   [params])[0, 0])  # a batch of one cluster
     return AccuracyReport(head_id=geometry.head_id, m=geometry.m,
                           method="closed_form", d_a=d_a,
                           distortion=sigma_s2 * (1.0 - d_a), sigma_s2=sigma_s2)
 
 
-def _closed_form_batch(tracing: np.ndarray, head: np.ndarray,
-                       members: np.ndarray, betas: BetaFactors,
+def _closed_form_batch(points: np.ndarray, betas: BetaFactors,
                        params: Sequence[CorrelationParams]) -> np.ndarray:
-    """d_a of n clusters of one size m for each params, as (n, len(params)).
+    """The module-doc formula for n clusters of one size m, as (n, len(params)).
 
-    Takes coordinates: tracing (n, 2), head (n, 2), members (n, m-1, 2).
-    Distances are computed a block of whole clusters at a time, each block
-    holding at most _PAIR_BLOCK member-pair distances (one cluster if its
-    pair matrix alone is larger), so memory does not grow with n.
+    `points` is (n, m+1, 2), each cluster in ClusterGeometry's joint order:
+    tracing point, members, head. The joint distance matrices are computed
+    a block of whole clusters at a time, each block holding at most
+    _PAIR_BLOCK distances (one cluster if its matrix alone is larger), so
+    memory does not grow with n.
     """
-    n, k = members.shape[:2]
-    step = max(1, _PAIR_BLOCK // max(k * k, 1))  # clusters per block
+    n, m = points.shape[0], points.shape[1] - 1
+    beta, beta_ch = betas.beta, betas.beta_ch
+    step = max(1, _PAIR_BLOCK // (m + 1) ** 2)  # clusters per block
     d_a = np.empty((n, len(params)))
     for lo in range(0, n, step):
-        s = tracing[lo:lo + step, None]
-        h = head[lo:lo + step, None]
-        mem = members[lo:lo + step]
-        d_a[lo:lo + step] = _closed_form_d_a(
-            k + 1, point_distances(mem, s), point_distances(h, s)[:, 0],
-            point_distances(mem, h), point_distances(mem[:, :, None],
-                                                     mem[:, None]),
-            betas, params)
-    return d_a
-
-
-def _closed_form_d_a(m: int, tracing_to_members: np.ndarray,
-                     tracing_to_head: np.ndarray,
-                     head_to_members: np.ndarray,
-                     member_distances: np.ndarray, betas: BetaFactors,
-                     params: Sequence[CorrelationParams]) -> np.ndarray:
-    """The module-doc formula for c clusters of size m, as (c, len(params)).
-
-    Distances carry a leading cluster axis: (c, m-1), (c,), (c, m-1) and
-    (c, m-1, m-1).
-    """
-    beta, beta_ch = betas.beta, betas.beta_ch
-    d_a = np.empty((len(tracing_to_head), len(params)))
-    for j, p in enumerate(params):
-        cross = (2.0 / m) * (
-            beta * kernel(tracing_to_members, p).sum(axis=-1)
-            + beta_ch * kernel(tracing_to_head, p))
-        # off-diagonal pairs only; K(0) = 1
-        pair_sum = kernel(member_distances, p).sum(axis=(-2, -1)) - (m - 1)
-        k_c = kernel(head_to_members, p).sum(axis=-1)
-        second = (beta ** 2 * pair_sum + (m - 1) * beta
-                  + 2.0 * beta * beta_ch * k_c + beta_ch) / m ** 2
-        d_a[:, j] = cross - second
+        block = points[lo:lo + step]
+        d = point_distances(block[:, :, None], block[:, None])
+        for j, p in enumerate(params):
+            cross = (2.0 / m) * (beta * kernel(d[:, 0, 1:-1], p).sum(axis=-1)
+                                 + beta_ch * kernel(d[:, 0, -1], p))
+            # off-diagonal pairs only; K(0) = 1
+            pair_sum = kernel(d[:, 1:-1, 1:-1], p).sum(axis=(-2, -1)) - (m - 1)
+            k_c = kernel(d[:, 1:-1, -1], p).sum(axis=-1)
+            second = (beta ** 2 * pair_sum + (m - 1) * beta
+                      + 2.0 * beta * beta_ch * k_c + beta_ch) / m ** 2
+            d_a[lo:lo + step, j] = cross - second
     return d_a
 
 

@@ -2,8 +2,9 @@
 
 Every normal node joins the cluster head minimizing Euclidean distance
 (ties to the lowest head id), which partitions the field into the heads'
-nearest-site cells. The geometry bundle collects all distances the
-accuracy estimators consume.
+nearest-site cells. A cluster's geometry is the coordinates of its tracing
+point, members and head; the accuracy estimators derive their distances
+from them.
 """
 
 from __future__ import annotations
@@ -89,18 +90,30 @@ def _coordinates(nodes: Sequence[Node]) -> Tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ClusterGeometry:
-    """Distances between the tracing point, the head, and the members.
+    """Coordinates of the tracing point, the members and the head.
 
-    `member_distances[i, j]` is the distance between members i and j in
-    `member_ids` order (symmetric, zero diagonal).
+    `points` is an (m+1, 2) array in joint order: the tracing point, the
+    members in `member_ids` order, then the head. Any array-like is stored
+    as a read-only float copy, checked once for shape and finiteness.
     """
 
     head_id: int
     member_ids: Tuple[int, ...]
-    tracing_to_members: np.ndarray   # (m-1,)
-    tracing_to_head: float
-    head_to_members: np.ndarray      # (m-1,)
-    member_distances: np.ndarray     # (m-1, m-1)
+    points: np.ndarray
+
+    def __post_init__(self):
+        pts = np.array(self.points, dtype=float)
+        k = len(self.member_ids)
+        if pts.shape != (k + 2, 2):
+            raise ValueError(f"points must have shape ({k + 2}, 2) for {k} "
+                             f"members, got {pts.shape}")
+        finite = np.isfinite(pts).all(axis=1)
+        if not finite.all():
+            bad = pts[~finite][0]
+            raise NonFiniteCoordinateError(
+                f"cluster coordinates must be finite, got ({bad[0]}, {bad[1]})")
+        pts.setflags(write=False)
+        object.__setattr__(self, "points", pts)
 
     @property
     def m(self) -> int:
@@ -108,13 +121,7 @@ class ClusterGeometry:
 
     def joint_distances(self) -> np.ndarray:
         """(m+1) x (m+1) distance matrix over (tracing point, members..., head)."""
-        k = len(self.member_ids)
-        d = np.zeros((k + 2, k + 2))
-        d[0, 1:k + 1] = self.tracing_to_members
-        d[0, k + 1] = self.tracing_to_head
-        d[1:k + 1, 1:k + 1] = self.member_distances
-        d[1:k + 1, k + 1] = self.head_to_members
-        return np.maximum(d, d.T)
+        return point_distances(self.points[:, None], self.points[None])
 
 
 def point_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -133,29 +140,17 @@ def geometry_from_points(tracing: Position, head: Position,
                          head_id: int = 0,
                          member_ids: Optional[Sequence[int]] = None,
                          ) -> ClusterGeometry:
-    """Build the distance bundle from explicit coordinates."""
-    pts = np.array([(tracing.x, tracing.y), (head.x, head.y)]
-                   + [(p.x, p.y) for p in members], dtype=float)
-    if not np.isfinite(pts).all():
-        bad = pts[~np.isfinite(pts).all(axis=1)][0]
-        raise NonFiniteCoordinateError(
-            f"cluster coordinates must be finite, got ({bad[0]}, {bad[1]})")
-    s, h, mem = pts[0], pts[1], pts[2:]
+    """Build a cluster geometry from explicit coordinates."""
     if member_ids is None:
-        member_ids = tuple(range(1, len(members) + 1))
-    return ClusterGeometry(
-        head_id=head_id,
-        member_ids=tuple(member_ids),
-        tracing_to_members=point_distances(mem, s),
-        tracing_to_head=float(point_distances(h, s)),
-        head_to_members=point_distances(mem, h),
-        member_distances=point_distances(mem[:, None], mem[None, :]),
-    )
+        member_ids = range(1, len(members) + 1)
+    points = [(tracing.x, tracing.y)] + [(p.x, p.y) for p in members] \
+        + [(head.x, head.y)]
+    return ClusterGeometry(head_id, tuple(member_ids), points)
 
 
 def cluster_geometry(cluster: Cluster, deployment: Deployment,
                      tracing_point: TracingPoint) -> ClusterGeometry:
-    """Distance bundle for a deployed cluster against one tracing point."""
+    """Geometry of a deployed cluster against one tracing point."""
     try:
         head = deployment.head_by_id(cluster.head_id)
         members = [deployment.normal_by_id(i) for i in cluster.members]

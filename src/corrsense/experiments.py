@@ -333,16 +333,15 @@ def run_fig9(config: ExperimentConfig) -> List[SweepResult]:
     """
     betas = config.betas()
     params = [replace(config.params, theta1=t) for t in config.theta1_values]
-    tracing = np.tile(REGION_TRACING, (config.runs, 1))
-    head = np.tile(REGION_HEAD, (config.runs, 1))
     curves: List[List[SweepPoint]] = [[] for _ in params]
     for m in config.m_values:
-        members = np.stack([
+        clusters = np.stack([np.vstack([
+            REGION_TRACING,
             np.random.default_rng(np.random.SeedSequence(
                 (config.seed, _TAG_REGION, m, run))
-            ).uniform(0.0, REGION_SIDE, size=(m - 1, 2))
-            for run in range(config.runs)])
-        d_a = _closed_form_batch(tracing, head, members, betas, params)
+            ).uniform(0.0, REGION_SIDE, size=(m - 1, 2)),
+            REGION_HEAD]) for run in range(config.runs)])
+        d_a = _closed_form_batch(clusters, betas, params)
         for points, vals in zip(curves, d_a.T.copy()):  # one row per theta1
             std_err = float(vals.std(ddof=1) / math.sqrt(len(vals))) \
                 if len(vals) > 1 else 0.0

@@ -32,8 +32,8 @@ class CorrelationParams:
     tau: float
 
     def __post_init__(self):
-        if not self.theta1 > 0:
-            raise ValueError(f"theta1 must be positive, got {self.theta1}")
+        if not 0 < self.theta1 < math.inf:
+            raise ValueError(f"theta1 must be positive and finite, got {self.theta1}")
         if not 0 < self.theta2 <= 2:
             raise ValueError(f"theta2 must be in (0, 2], got {self.theta2}")
         if not 0 < self.tau < 1:

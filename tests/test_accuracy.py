@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 import corrsense.accuracy as accuracy_module
-from corrsense import (BetaFactors, Cluster, ClusterAssignment, ClusterGeometry,
+from corrsense import (BetaFactors, Cluster, ClusterAssignment,
                        CorrelationParams, EstimateSet, FieldSpec,
                        MissingTracingPointError, NodeKind, NoiseModel, Position,
                        ReadingSample, UnknownNodeError, accuracy_for_assignment,
@@ -20,6 +20,7 @@ from corrsense import (BetaFactors, Cluster, ClusterAssignment, ClusterGeometry,
                        simulate_reading)
 from corrsense.accuracy import (_MC_CHUNK, _PAIR_BLOCK, _closed_form_batch,
                                 _fold_moments)
+from corrsense.accuracy import _cholesky_with_jitter
 
 P50 = CorrelationParams(50.0, 1.0, 0.6)
 P400 = CorrelationParams(400.0, 1.0, 0.6)
@@ -176,16 +177,10 @@ class TestSimulateReading:
         assert np.array_equal(a.z_members, b.z_members)
 
     def test_inconsistent_distances_rejected(self):
-        from corrsense import ClusterGeometry, NotPositiveDefiniteError
-        # triangle-violating bundle: members far apart yet both on the head
-        geo = ClusterGeometry(
-            head_id=0, member_ids=(1, 2),
-            tracing_to_members=np.array([1.0, 1.0]), tracing_to_head=1.0,
-            head_to_members=np.array([0.0, 0.0]),
-            member_distances=np.array([[0.0, 200.0], [200.0, 0.0]]))
+        from corrsense import NotPositiveDefiniteError
+        # an indefinite "covariance" that even the jitter retry cannot factor
         with pytest.raises(NotPositiveDefiniteError):
-            simulate_reading(geo, NoiseModel.noiseless(), P50,
-                             np.random.default_rng(0))
+            _cholesky_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]), 1.0)
 
 
 class TestEstimate:
@@ -303,15 +298,6 @@ class TestClosedForm:
             assert all(b >= a - 1e-12 for a, b in zip(das, das[1:]))
 
 
-    def test_rejects_negative_distance(self):
-        geo = ClusterGeometry(
-            head_id=0, member_ids=(1,), tracing_to_members=np.array([-1.0]),
-            tracing_to_head=1.0, head_to_members=np.array([1.0]),
-            member_distances=np.zeros((1, 1)))
-        with pytest.raises(ValueError, match="nonnegative"):
-            closed_form_accuracy(geo, BetaFactors(1.0, 1.0), P50)
-
-
 CORNER_GEOMETRY_MEMBERS = [Position(30, 0), Position(0, 30), Position(30, 30)]
 
 
@@ -321,7 +307,8 @@ def check_batch_against_reference(seed, n, m, box, theta1s, theta2, betas):
     head = rng.uniform(0.0, box, (n, 2))
     members = rng.uniform(0.0, box, (n, m - 1, 2))
     params = [CorrelationParams(t, theta2, 0.6) for t in theta1s]
-    got = _closed_form_batch(tracing, head, members, betas, params)
+    points = np.concatenate([tracing[:, None], members, head[:, None]], axis=1)
+    got = _closed_form_batch(points, betas, params)
     assert got.shape == (n, len(params))
     for i in range(n):
         for j, p in enumerate(params):
@@ -354,23 +341,22 @@ class TestBatchedClosedForm:
     @settings(max_examples=15, deadline=None)
     def test_batch_crosses_pair_blocks(self, seed, m, extra, theta1s, theta2,
                                        betas):
-        per_block = _PAIR_BLOCK // (m - 1) ** 2
+        per_block = _PAIR_BLOCK // (m + 1) ** 2
         check_batch_against_reference(seed, per_block + extra, m, 30.0,
                                       theta1s, theta2, betas)
 
     def test_memory_bounded_by_pair_block(self):
         n, m = 300, 100
         rng = np.random.default_rng(5)
-        coords = (rng.uniform(0.0, 30.0, (n, 2)), rng.uniform(0.0, 30.0, (n, 2)),
-                  rng.uniform(0.0, 30.0, (n, m - 1, 2)))
+        points = rng.uniform(0.0, 30.0, (n, m + 1, 2))
         tracemalloc.start()
         try:
-            _closed_form_batch(*coords, BetaFactors(0.9, 0.9), [P50, P400])
+            _closed_form_batch(points, BetaFactors(0.9, 0.9), [P50, P400])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # about 5 pair-block arrays are live at once (measured 1.1-1.5 MB);
-        # all 300 x 99^2 pairs at once would take 24 MB per array
+        # about 5 block-sized arrays are live at once (measured 1.4 MB);
+        # all 300 x 101^2 distances at once would take 24 MB per array
         assert peak < 16 * 8 * _PAIR_BLOCK, f"{peak / 2 ** 20:.1f} MB"
 
     def test_closed_form_accuracy_is_a_batch_of_one(self):
@@ -381,8 +367,8 @@ class TestBatchedClosedForm:
             members = rng.uniform(0.0, 30.0, (m - 1, 2))
             geo = geometry_from_points(Position(*s), Position(*h),
                                        [Position(*p) for p in members])
-            batch = _closed_form_batch(s[None], h[None], members[None], betas,
-                                       [P50, P400])
+            batch = _closed_form_batch(np.vstack([s, members, h])[None],
+                                       betas, [P50, P400])
             assert [closed_form_accuracy(geo, betas, p).d_a
                     for p in (P50, P400)] == batch[0].tolist()
 

@@ -177,6 +177,14 @@ class TestFailures:
         assert code != 0
         assert "theta1" in err
 
+    def test_infinite_theta1_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "accuracy", "--theta1", "inf",
+                                 "--grid-rows", "1", "--grid-cols", "1",
+                                 "--normals", "3")
+        assert code == 2
+        assert out == ""
+        assert "theta1" in err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

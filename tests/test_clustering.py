@@ -13,6 +13,7 @@ from corrsense import (CorrelationParams, Deployment, FieldSpec, Node,
                        build_grid_deployment, cluster_geometry,
                        geometry_from_points, place_nodes)
 from corrsense import NonFiniteCoordinateError, SimulationError
+from corrsense import ClusterGeometry
 from corrsense.clustering import _ASSIGN_CHUNK
 
 FIELD = FieldSpec(100.0, 100.0)
@@ -160,14 +161,15 @@ class TestClusterGeometry:
         dep = deployment_from_coords([(50, 50)], [(10, 10)])
         (cluster,) = assign_clusters(dep).clusters
         geo = cluster_geometry(cluster, dep, TracingPoint(1, Position(50, 50)))
-        assert geo.tracing_to_head == 0.0
+        assert geo.joint_distances()[0, -1] == 0.0
 
     def test_circle_equidistance(self):
         geo = geometry_from_points(
             Position(0, 0), Position(5, 0),
             [Position(0, 5), Position(-5, 0), Position(0, -5)])
-        assert geo.tracing_to_head == approx(5.0)
-        assert geo.tracing_to_members == approx([5.0, 5.0, 5.0])
+        joint = geo.joint_distances()
+        assert joint[0, -1] == approx(5.0)
+        assert joint[0, 1:-1] == approx([5.0, 5.0, 5.0])
 
     def test_square_corner_geometry(self):
         # 30x30 corners, tracing point at the center
@@ -175,10 +177,11 @@ class TestClusterGeometry:
             Position(15, 15), Position(0, 0),
             [Position(30, 0), Position(0, 30), Position(30, 30)])
         d = 15.0 * math.sqrt(2.0)
-        assert geo.tracing_to_head == approx(d)
-        assert geo.tracing_to_members == approx([d, d, d])
-        assert sorted(geo.head_to_members) == approx([30.0, 30.0, 30 * math.sqrt(2)])
-        off = geo.member_distances[np.triu_indices(3, k=1)]
+        joint = geo.joint_distances()
+        assert joint[0, -1] == approx(d)
+        assert joint[0, 1:-1] == approx([d, d, d])
+        assert sorted(joint[1:-1, -1]) == approx([30.0, 30.0, 30 * math.sqrt(2)])
+        off = joint[1:-1, 1:-1][np.triu_indices(3, k=1)]
         assert sorted(off) == approx([30.0, 30.0, 30 * math.sqrt(2)])
 
     def test_unknown_member_id(self):
@@ -199,10 +202,9 @@ class TestClusterGeometry:
                                             head_id=head.id,
                                             member_ids=cluster.members)
             got = cluster_geometry(cluster, dep, tp)
-            assert (got.head_id, got.member_ids, got.tracing_to_head) == \
-                (expected.head_id, expected.member_ids, expected.tracing_to_head)
-            for name in ("tracing_to_members", "head_to_members", "member_distances"):
-                assert np.array_equal(getattr(got, name), getattr(expected, name))
+            assert (got.head_id, got.member_ids) == \
+                (expected.head_id, expected.member_ids)
+            assert np.array_equal(got.joint_distances(), expected.joint_distances())
 
     @given(st.lists(st.tuples(st.floats(0, 100), st.floats(0, 100)),
                     min_size=2, max_size=8))
@@ -224,8 +226,45 @@ class TestClusterGeometry:
     def test_member_matrix_zero_diagonal(self):
         geo = geometry_from_points(Position(0, 0), Position(1, 0),
                                    [Position(2, 0), Position(3, 0)])
-        assert np.all(np.diag(geo.member_distances) == 0.0)
-        assert geo.member_distances[0, 1] == approx(1.0)
+        member_distances = geo.joint_distances()[1:-1, 1:-1]
+        assert np.all(np.diag(member_distances) == 0.0)
+        assert member_distances[0, 1] == approx(1.0)
+
+    @given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+                    min_size=2, max_size=10))
+    @settings(max_examples=100)
+    def test_joint_distances_match_scalar_formula_bit_for_bit(self, coords):
+        geo = ClusterGeometry(0, tuple(range(1, len(coords) - 1)), coords)
+        d = geo.joint_distances()
+        for i, (xi, yi) in enumerate(coords):
+            for j, (xj, yj) in enumerate(coords):
+                dx, dy = xi - xj, yi - yj
+                assert d[i, j] == math.sqrt(dx * dx + dy * dy)
+
+    def test_points_in_joint_order_and_read_only(self):
+        geo = geometry_from_points(Position(0, 1), Position(2, 3),
+                                   [Position(4, 5), Position(6, 7)])
+        assert geo.points.tolist() == [[0, 1], [4, 5], [6, 7], [2, 3]]
+        with pytest.raises(ValueError):
+            geo.points[0, 0] = 9.0
+
+
+class TestHandBuiltGeometry:
+    POINTS = [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]  # tracing, member, head
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_non_finite_coordinate_rejected(self, bad, row):
+        pts = [list(p) for p in self.POINTS]
+        pts[row][1] = bad
+        with pytest.raises(NonFiniteCoordinateError):
+            ClusterGeometry(head_id=0, member_ids=(1,), points=np.array(pts))
+
+    @pytest.mark.parametrize("member_ids,shape", [
+        ((), (3, 2)), ((1, 2), (3, 2)), ((1,), (3, 3)), ((1,), (6,))])
+    def test_shape_must_match_member_ids(self, member_ids, shape):
+        with pytest.raises(ValueError, match="points must have shape"):
+            ClusterGeometry(0, member_ids, np.zeros(shape))
 
 
 class TestDiagnosticsAndCsv:

@@ -1,5 +1,8 @@
 import json
+import runpy
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,7 +123,7 @@ class TestFig8:
                                   (30.0, 30.0)}
         g = grid_cluster(4)
         assert g.m == 4
-        assert g.tracing_to_head == approx(15 * np.sqrt(2))
+        assert g.joint_distances()[0, -1] == approx(15 * np.sqrt(2))
 
     def test_anchor_values_default_noise(self):
         results = run_fig8(default_config("fig8"))
@@ -341,3 +344,16 @@ class TestProvenance:
                 assert text == value, key
             else:
                 assert float(text) == approx(value, rel=1e-5, abs=1e-6), key
+
+
+class TestRunExperimentsScript:
+    def test_seed_only_where_the_experiment_reads_one(self, tmp_path,
+                                                      monkeypatch):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_experiments.py"
+        monkeypatch.setattr(sys, "argv", [str(script), "--outdir", str(tmp_path),
+                                          "--seed", "3"])
+        assert runpy.run_path(str(script))["main"]() == 0
+        seeds = {name: header_pairs((tmp_path / f"{name}.csv").read_text())["seed"]
+                 for name in EXPERIMENTS}
+        assert seeds == {"setup1": "3", "setup2": "3", "fig5": "7", "fig6": "7",
+                         "fig8": "7", "fig9": "3", "optimal": "3"}

@@ -25,7 +25,7 @@ def params_st():
 
 class TestCorrelationParams:
     @pytest.mark.parametrize("theta1,theta2,tau", [
-        (0.0, 1.0, 0.5), (-1.0, 1.0, 0.5),
+        (0.0, 1.0, 0.5), (-1.0, 1.0, 0.5), (math.inf, 1.0, 0.5),
         (50.0, 0.0, 0.5), (50.0, 2.5, 0.5),
         (50.0, 1.0, 0.0), (50.0, 1.0, 1.0), (50.0, 1.0, -0.1),
     ])
