@@ -347,8 +347,13 @@ def accuracy_for_assignment(assignment: ClusterAssignment,
                             noise: Optional[NoiseModel] = None,
                             samples: int = 100_000,
                             seed: int = 0) -> List[AccuracyReport]:
-    """One report per cluster (head-id order), each against its tracing point."""
+    """One report per cluster (head-id order), each against its tracing point.
+
+    Both methods report distortion in units of `noise.sigma_s2`; without a
+    noise model the closed form takes sigma_s2 = 1.
+    """
     by_id = {tp.id: tp for tp in tracing_points}
+    sigma_s2 = 1.0 if noise is None else noise.sigma_s2
     reports = []
     for cluster in sorted(assignment.clusters, key=lambda c: c.head_id):
         if cluster.head_id not in by_id:
@@ -356,7 +361,8 @@ def accuracy_for_assignment(assignment: ClusterAssignment,
                                            f"CH{cluster.head_id}")
         geometry = cluster_geometry(cluster, deployment, by_id[cluster.head_id])
         if method == "closed_form":
-            reports.append(closed_form_accuracy(geometry, betas, params))
+            reports.append(closed_form_accuracy(geometry, betas, params,
+                                                sigma_s2))
         elif method == "monte_carlo":
             if noise is None:
                 raise ValueError("monte_carlo needs a noise model")

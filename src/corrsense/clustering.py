@@ -88,13 +88,14 @@ def _coordinates(nodes: Sequence[Node]) -> Tuple[np.ndarray, np.ndarray]:
             np.fromiter((n.position.y for n in nodes), float, len(nodes)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterGeometry:
     """Coordinates of the tracing point, the members and the head.
 
     `points` is an (m+1, 2) array in joint order: the tracing point, the
     members in `member_ids` order, then the head. Any array-like is stored
     as a read-only float copy, checked once for shape and finiteness.
+    Equality and hashing compare the ids and the coordinates bit for bit.
     """
 
     head_id: int
@@ -114,6 +115,17 @@ class ClusterGeometry:
                 f"cluster coordinates must be finite, got ({bad[0]}, {bad[1]})")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
+
+    def _key(self) -> Tuple[int, Tuple[int, ...], bytes]:
+        return self.head_id, self.member_ids, self.points.tobytes()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ClusterGeometry):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def m(self) -> int:

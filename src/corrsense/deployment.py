@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DuplicateNodeError, OutOfFieldError
+from .errors import DuplicateNodeError, OutOfFieldError, UnknownNodeError
 
 RNG_NAME = "numpy-pcg64"  # recorded in report metadata for replication
 
@@ -89,17 +89,24 @@ class Deployment:
     grid: Optional[Tuple[int, int]] = None
 
     def __post_init__(self):
-        for node in self.heads + self.normals:
-            if not self.field.contains(node.position.x, node.position.y):
-                raise OutOfFieldError(f"node {node.label} at "
-                                      f"({node.position.x}, {node.position.y})")
-        for tp in self.tracing_points:
-            if not self.field.contains(tp.position.x, tp.position.y):
-                raise OutOfFieldError(f"tracing point {tp.id}")
+        for kind, nodes in ((NodeKind.CLUSTER_HEAD, self.heads),
+                            (NodeKind.NORMAL, self.normals)):
+            for node in nodes:
+                if node.kind is not kind:
+                    raise ValueError(f"node {node.label} of kind "
+                                     f"{node.kind.name} listed as {kind.name}")
+                if not self.field.contains(node.position.x, node.position.y):
+                    raise OutOfFieldError(f"node {node.label} at ({node.position.x}"
+                                          f", {node.position.y})")
         # id -> item maps, built once; object.__setattr__ because the
         # dataclass is frozen (they are not fields, so eq/repr ignore them)
         object.__setattr__(self, "_heads", _index_by_id(self.heads, "head"))
         object.__setattr__(self, "_normals", _index_by_id(self.normals, "normal"))
+        for tp in self.tracing_points:
+            if not self.field.contains(tp.position.x, tp.position.y):
+                raise OutOfFieldError(f"tracing point {tp.id}")
+            if tp.id not in self._heads:
+                raise UnknownNodeError(f"tracing point {tp.id} names no head")
         object.__setattr__(self, "_tracing_points",
                            _index_by_id(self.tracing_points, "tracing point"))
 
@@ -172,16 +179,21 @@ def assign_tracing_points(deployment: Deployment,
     """One tracing point per head: uniform in the head's grid cell, or explicit.
 
     Exactly one of `seed` (cell-random mode, needs deployment.grid) and
-    `positions` must be given. Explicit positions map to heads in id order.
+    `positions` must be given. Explicit positions map to heads in id order,
+    one position per head, and each tracing point takes its head's id.
     """
     if (seed is None) == (positions is None):
         raise ValueError("pass exactly one of seed= or positions=")
     if positions is not None:
+        head_ids = sorted(h.id for h in deployment.heads)
+        if len(positions) != len(head_ids):
+            raise ValueError(f"need one tracing point position per head: "
+                             f"{len(head_ids)} heads, {len(positions)} positions")
         points = []
-        for i, (x, y) in enumerate(positions):
+        for head_id, (x, y) in zip(head_ids, positions):
             if not deployment.field.contains(x, y):
                 raise OutOfFieldError(f"tracing point ({x}, {y})")
-            points.append(TracingPoint(id=i + 1, position=Position(x, y)))
+            points.append(TracingPoint(id=head_id, position=Position(x, y)))
         return tuple(points)
 
     if deployment.grid is None:

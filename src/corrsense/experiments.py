@@ -30,11 +30,9 @@ import numpy as np
 
 from ._version import __version__
 from .accuracy import (BetaFactors, NoiseModel, _closed_form_batch,
-                       _model_record, accuracy_for_assignment, beta_factors,
-                       closed_form_accuracy)
+                       _model_record, accuracy_for_assignment, beta_factors)
 from .clustering import ClusterGeometry, assign_clusters, geometry_from_points
-from .deployment import (RNG_NAME, Deployment, FieldSpec, Position,
-                         build_grid_deployment)
+from .deployment import RNG_NAME, FieldSpec, Position, build_grid_deployment
 from .errors import InvalidConfigError, NoPlateauError, SweepInvariantError
 from .spatial_stats import CorrelationParams
 
@@ -220,8 +218,7 @@ def grid_cluster(m: int) -> ClusterGeometry:
                                 members)
 
 
-def _setup_run(config: ExperimentConfig, run: int
-               ) -> Tuple[Deployment, List[ClusterTableRow]]:
+def _setup_run(config: ExperimentConfig, run: int) -> List[ClusterTableRow]:
     dep = build_grid_deployment(
         FieldSpec(config.field_width, config.field_height),
         config.grid_rows, config.grid_cols, config.n_normals,
@@ -231,15 +228,13 @@ def _setup_run(config: ExperimentConfig, run: int
     reports = accuracy_for_assignment(assignment, dep, dep.tracing_points,
                                       config.betas(), config.params)
     members = {c.head_id: c.members for c in assignment.clusters}
-    rows = [ClusterTableRow(r.head_id, members[r.head_id], r.d_a)
+    return [ClusterTableRow(r.head_id, members[r.head_id], r.d_a)
             for r in reports]
-    return dep, rows
 
 
 def run_setup1(config: ExperimentConfig) -> List[ClusterTableRow]:
     """Single seeded deployment: per-cluster member lists and accuracy."""
-    _, rows = _setup_run(config, run=0)
-    return rows
+    return _setup_run(config, run=0)
 
 
 def run_setup2(config: ExperimentConfig) -> List[AverageRow]:
@@ -250,24 +245,46 @@ def run_setup2(config: ExperimentConfig) -> List[AverageRow]:
     """
     totals: Dict[int, float] = {}
     for run in range(config.runs):
-        _, rows = _setup_run(config, run=run)
-        for row in rows:
+        for row in _setup_run(config, run=run):
             totals[row.head_id] = totals.get(row.head_id, 0.0) + row.d_a
     return [AverageRow(head_id=h, d_a=totals[h] / config.runs)
             for h in sorted(totals)]
 
 
+def _sweep(config: ExperimentConfig, sweep: str, xs: Sequence,
+           clusters: Callable[..., Tuple[int, float, np.ndarray]],
+           std_err: bool = False) -> List[SweepResult]:
+    """One curve per theta1 over the sweep points xs, each scored in one batch.
+
+    clusters(x) gives (m, value, points) with points stacked (n, m+1, 2);
+    a point's d_a is the mean over its n clusters, and with std_err its
+    standard error (0 for a single cluster). The checks every sweep shares
+    run here.
+    """
+    betas = config.betas()
+    params = [replace(config.params, theta1=t) for t in config.theta1_values]
+    curves: List[List[SweepPoint]] = [[] for _ in params]
+    for x in xs:
+        m, value, points = clusters(x)
+        d_a = _closed_form_batch(points, betas, params)
+        for curve, vals in zip(curves, d_a.T.copy()):  # one row per theta1
+            err = None
+            if std_err:
+                err = float(vals.std(ddof=1) / math.sqrt(len(vals))) \
+                    if len(vals) > 1 else 0.0
+            curve.append(SweepPoint(m=m, value=value, d_a=float(vals.mean()),
+                                    std_err=err))
+    results = [SweepResult(config.experiment, sweep, t, tuple(curve))
+               for t, curve in zip(config.theta1_values, curves)]
+    _assert_increasing_values(results)
+    _assert_theta_ordering(results)
+    return results
+
+
 def run_fig5(config: ExperimentConfig) -> List[SweepResult]:
     """Accuracy of a 4-node circular cluster versus circle radius."""
-    betas = config.betas()
-    results = []
-    for theta1 in config.theta1_values:
-        params = replace(config.params, theta1=theta1)
-        points = []
-        for radius in config.radius_values:
-            rep = closed_form_accuracy(circle_cluster(4, radius), betas, params)
-            points.append(SweepPoint(m=4, value=radius, d_a=rep.d_a))
-        results.append(SweepResult("fig5", "radius", theta1, tuple(points)))
+    results = _sweep(config, "radius", config.radius_values,
+                     lambda r: (4, r, circle_cluster(4, r).points[None]))
     _assert_fig5(results)
     return results
 
@@ -278,16 +295,9 @@ def run_fig6(config: ExperimentConfig) -> List[SweepResult]:
     Each curve is annotated with the 2-to-3 node jump and the plateau
     onset (first count from which consecutive gaps stay below 0.005).
     """
-    betas = config.betas()
-    results = []
-    for theta1 in config.theta1_values:
-        params = replace(config.params, theta1=theta1)
-        points = []
-        for m in config.m_values:
-            rep = closed_form_accuracy(circle_cluster(m, 5.0), betas, params)
-            points.append(SweepPoint(m=m, value=float(m), d_a=rep.d_a))
-        results.append(SweepResult("fig6", "m", theta1, tuple(points),
-                                   notes=_fig6_notes(theta1, points)))
+    results = [replace(r, notes=_fig6_notes(r.theta1, r.points))
+               for r in _sweep(config, "m", config.m_values, lambda m: (
+                   m, float(m), circle_cluster(m, 5.0).points[None]))]
     _assert_fig6(results)
     return results
 
@@ -309,17 +319,10 @@ def _fig6_notes(theta1: float, points: Sequence[SweepPoint]) -> Tuple[str, ...]:
 
 def run_fig8(config: ExperimentConfig) -> List[SweepResult]:
     """Accuracy of the grid cluster versus node density, grown outside-in."""
-    betas = config.betas()
     area = REGION_SIDE * REGION_SIDE
-    m_values = range(4, len(region_grid_order()) + 1, 4)
-    results = []
-    for theta1 in config.theta1_values:
-        params = replace(config.params, theta1=theta1)
-        points = []
-        for m in m_values:
-            rep = closed_form_accuracy(grid_cluster(m), betas, params)
-            points.append(SweepPoint(m=m, value=m / area, d_a=rep.d_a))
-        results.append(SweepResult("fig8", "density", theta1, tuple(points)))
+    results = _sweep(config, "density",
+                     range(4, len(region_grid_order()) + 1, 4),
+                     lambda m: (m, m / area, grid_cluster(m).points[None]))
     _assert_fig8(results)
     return results
 
@@ -331,24 +334,15 @@ def run_fig9(config: ExperimentConfig) -> List[SweepResult]:
     uniformly over the region; the same geometry serves every theta1, so
     curves differ only through the kernel range.
     """
-    betas = config.betas()
-    params = [replace(config.params, theta1=t) for t in config.theta1_values]
-    curves: List[List[SweepPoint]] = [[] for _ in params]
-    for m in config.m_values:
-        clusters = np.stack([np.vstack([
+    def clusters(m: int) -> Tuple[int, float, np.ndarray]:
+        return m, float(m), np.stack([np.vstack([
             REGION_TRACING,
             np.random.default_rng(np.random.SeedSequence(
                 (config.seed, _TAG_REGION, m, run))
             ).uniform(0.0, REGION_SIDE, size=(m - 1, 2)),
             REGION_HEAD]) for run in range(config.runs)])
-        d_a = _closed_form_batch(clusters, betas, params)
-        for points, vals in zip(curves, d_a.T.copy()):  # one row per theta1
-            std_err = float(vals.std(ddof=1) / math.sqrt(len(vals))) \
-                if len(vals) > 1 else 0.0
-            points.append(SweepPoint(m=m, value=float(m),
-                                     d_a=float(vals.mean()), std_err=std_err))
-    results = [SweepResult("fig9", "m", t, tuple(points))
-               for t, points in zip(config.theta1_values, curves)]
+
+    results = _sweep(config, "m", config.m_values, clusters, std_err=True)
     _assert_fig9(results)
     return results
 
@@ -424,18 +418,15 @@ def _assert_theta_ordering(results: Sequence[SweepResult]) -> None:
 
 
 def _assert_fig5(results: Sequence[SweepResult]) -> None:
-    _assert_increasing_values(results)
     for r in results:
         das = [p.d_a for p in r.points]
         if any(b >= a for a, b in zip(das, das[1:])):
             raise SweepInvariantError(
                 f"fig5: accuracy not strictly decreasing in radius "
                 f"at theta1={r.theta1:g}")
-    _assert_theta_ordering(results)
 
 
 def _assert_fig6(results: Sequence[SweepResult]) -> None:
-    _assert_increasing_values(results)
     for r in results:
         by_m = {p.m: p.d_a for p in r.points}
         if 2 in by_m and 3 in by_m and by_m[3] <= by_m[2]:
@@ -447,12 +438,9 @@ def _assert_fig6(results: Sequence[SweepResult]) -> None:
             raise SweepInvariantError(
                 f"fig6: plateau gap {max(gaps):.6f} >= 0.005 "
                 f"at theta1={r.theta1:g}")
-    _assert_theta_ordering(results)
 
 
 def _assert_fig8(results: Sequence[SweepResult]) -> None:
-    _assert_increasing_values(results)
-    _assert_theta_ordering(results)
     curve = _curve(results, 400.0)
     if curve is not None:
         by_m = {p.m: p.d_a for p in curve.points}
@@ -462,8 +450,6 @@ def _assert_fig8(results: Sequence[SweepResult]) -> None:
 
 
 def _assert_fig9(results: Sequence[SweepResult]) -> None:
-    _assert_increasing_values(results)
-    _assert_theta_ordering(results)
     curve = _curve(results, 400.0)
     if curve is not None:
         final = curve.points[-1].d_a

@@ -10,8 +10,9 @@ from pytest import approx
 import corrsense.accuracy as accuracy_module
 from corrsense import (BetaFactors, Cluster, ClusterAssignment,
                        CorrelationParams, EstimateSet, FieldSpec,
-                       MissingTracingPointError, NodeKind, NoiseModel, Position,
-                       ReadingSample, UnknownNodeError, accuracy_for_assignment,
+                       MissingTracingPointError, Node, NodeKind, NoiseModel,
+                       Position, ReadingSample, UnknownNodeError,
+                       accuracy_for_assignment,
                        assign_clusters, assign_tracing_points, beta_factors,
                        build_grid_deployment, circle_cluster,
                        closed_form_accuracy, Deployment, empirical_correlation,
@@ -561,6 +562,30 @@ class TestAccuracyForAssignment:
                 assign_clusters(dep), dep, dep.tracing_points[:-1],
                 beta_factors(NoiseModel.default_profile()),
                 CorrelationParams(100.0, 1.0, 0.6))
+
+
+    def test_tracing_points_given_by_position_serve_their_heads(self):
+        field = FieldSpec(30, 30)
+        dep = Deployment(field=field, normals=(), heads=(
+            Node(3, NodeKind.CLUSTER_HEAD, Position(5.0, 5.0)),
+            Node(7, NodeKind.CLUSTER_HEAD, Position(20.0, 20.0))))
+        points = assign_tracing_points(dep, positions=[(5.0, 5.0), (20.0, 20.0)])
+        noise = NoiseModel.noiseless()
+        reports = accuracy_for_assignment(assign_clusters(dep), dep, points,
+                                          beta_factors(noise), P50)
+        assert [(r.head_id, r.d_a) for r in reports] == [(3, 1.0), (7, 1.0)]
+
+    def test_both_methods_report_distortion_in_units_of_sigma_s2(self):
+        dep = build_grid_deployment(FieldSpec(30, 30), 1, 1, 0, seed=5)
+        noise = NoiseModel(sigma_s2=4.0, sigma_n2=0.24, sigma_nt2=0.24,
+                           sigma_nch2=0.24)
+        cf, mc = (accuracy_for_assignment(
+            assign_clusters(dep), dep, dep.tracing_points, beta_factors(noise),
+            P50, method=method, noise=noise, samples=20_000, seed=3)[0]
+            for method in ("closed_form", "monte_carlo"))
+        assert cf.sigma_s2 == mc.sigma_s2 == 4.0
+        assert cf.distortion == approx(4.0 * (1.0 - cf.d_a))
+        assert abs(mc.distortion - cf.distortion) <= 4 * mc.mc_std_error * 4.0
 
 
 class TestReportSerialization:

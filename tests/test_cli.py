@@ -162,6 +162,14 @@ class TestFailures:
         assert out == ""
         assert "head id 1 appears more than once" in err
 
+    def test_tracing_point_without_head(self, tmp_path, capsys):
+        dep = tmp_path / "dep.txt"
+        dep.write_text("field,10,10\nCH,1,5,5\nN,1,1,1\nT,1,5,5\nT,99,2,2\n")
+        code, out, err = run_cli(capsys, "accuracy", "--deployment", str(dep))
+        assert code == 2
+        assert out == ""
+        assert "tracing point 99 names no head" in err
+
     @pytest.mark.parametrize("record", ["CH,1,2", "CH,1,2,3,4"])
     def test_wrong_record_length(self, tmp_path, capsys, record):
         dep = tmp_path / "dep.txt"

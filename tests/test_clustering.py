@@ -267,6 +267,33 @@ class TestHandBuiltGeometry:
             ClusterGeometry(0, member_ids, np.zeros(shape))
 
 
+class TestGeometryEquality:
+    def geo(self, head=(2.0, 3.0), head_id=0, member_ids=None):
+        return geometry_from_points(Position(0, 1), Position(*head),
+                                    [Position(4, 5), Position(6, 7)],
+                                    head_id=head_id, member_ids=member_ids)
+
+    def test_equal_pair(self):
+        a, b = self.geo(), self.geo()
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+
+    @pytest.mark.parametrize("other", [
+        dict(head=(2.0, 3.5)), dict(head_id=1), dict(member_ids=(1, 3))])
+    def test_unequal_pair(self, other):
+        assert self.geo() != self.geo(**other)
+
+    def test_dict_key(self):
+        scores = {self.geo(): 0.5, self.geo(head_id=4): 0.7}
+        assert scores[self.geo()] == 0.5 and scores[self.geo(head_id=4)] == 0.7
+        assert len({self.geo(), self.geo()}) == 1
+
+    def test_compares_coordinates_bit_for_bit(self):
+        zero, minus_zero = self.geo(head=(0.0, 0.0)), self.geo(head=(-0.0, 0.0))
+        assert zero != minus_zero
+        assert self.geo() != "not a geometry"
+
+
 class TestDiagnosticsAndCsv:
     def test_kernel_diagnostics(self):
         dep = deployment_from_coords([(0, 0)], [(50, 0)])

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from corrsense import (Deployment, DuplicateNodeError, FieldSpec, NodeKind,
-                       OutOfFieldError, Position, assign_tracing_points,
+from corrsense import (Deployment, DuplicateNodeError, FieldSpec, Node,
+                       NodeKind, OutOfFieldError, Position, TracingPoint,
+                       UnknownNodeError, assign_tracing_points,
                        build_grid_deployment, deploy_grid_heads,
                        deploy_random_normals, deployment_from_text,
                        deployment_to_text, place_nodes)
@@ -143,6 +144,23 @@ class TestTracingPoints:
         with pytest.raises(ValueError):
             assign_tracing_points(dep, seed=1, positions=[(1.0, 1.0)])
 
+    def test_explicit_points_take_sorted_head_ids(self):
+        field = FieldSpec(30, 30)
+        dep = Deployment(field=field, normals=(), heads=(
+            Node(7, NodeKind.CLUSTER_HEAD, Position(20.0, 20.0)),
+            Node(3, NodeKind.CLUSTER_HEAD, Position(5.0, 5.0))))
+        points = assign_tracing_points(dep, positions=[(4.0, 4.0), (21.0, 21.0)])
+        assert [(tp.id, tp.position) for tp in points] == [
+            (3, Position(4.0, 4.0)), (7, Position(21.0, 21.0))]
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_explicit_points_need_one_per_head(self, count):
+        dep = Deployment(field=FieldSpec(30, 30),
+                         heads=deploy_grid_heads(FieldSpec(30, 30), 1, 2),
+                         normals=())
+        with pytest.raises(ValueError, match="one tracing point position per head"):
+            assign_tracing_points(dep, positions=[(1.0, 1.0)] * count)
+
     def test_random_mode_needs_grid(self):
         dep = Deployment(field=FieldSpec(30, 30),
                          heads=place_nodes(FieldSpec(30, 30),
@@ -171,6 +189,22 @@ class TestDeployment:
         assert dep.tracing_point_by_id(2).id == 2
         with pytest.raises(KeyError):
             dep.head_by_id(99)
+
+    @pytest.mark.parametrize("heads, normals", [
+        ((Node(1, NodeKind.NORMAL, Position(1.0, 1.0)),), ()),
+        ((Node(1, NodeKind.CLUSTER_HEAD, Position(1.0, 1.0)),),
+         (Node(1, NodeKind.CLUSTER_HEAD, Position(2.0, 2.0)),)),
+    ])
+    def test_rejects_node_of_the_wrong_kind(self, heads, normals):
+        with pytest.raises(ValueError, match="listed as"):
+            Deployment(field=FieldSpec(10, 10), heads=heads, normals=normals)
+
+    def test_rejects_tracing_point_without_head(self):
+        head = Node(1, NodeKind.CLUSTER_HEAD, Position(5.0, 5.0))
+        with pytest.raises(UnknownNodeError, match="tracing point 99"):
+            Deployment(field=FieldSpec(10, 10), heads=(head,), normals=(),
+                       tracing_points=(TracingPoint(1, Position(5.0, 5.0)),
+                                       TracingPoint(99, Position(2.0, 2.0))))
 
     @pytest.mark.parametrize("text, message", [
         ("field,10,10\nCH,1,2,2\nCH,1,8,8\nN,1,1,1\nN,1,9,9\n", "head id 1"),

@@ -1,7 +1,7 @@
 import json
 import runpy
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +10,8 @@ from pytest import approx
 
 from corrsense import (CorrelationParams, ExperimentConfig, NoPlateauError,
                        SweepInvariantError, SweepPoint, SweepResult,
-                       default_config, find_optimal_cluster, grid_cluster,
+                       circle_cluster, closed_form_accuracy, default_config,
+                       find_optimal_cluster, grid_cluster,
                        run_experiment_csv, run_experiment_json, run_fig5,
                        run_fig6, run_fig8, run_fig9, run_optimal, run_setup1,
                        run_setup2)
@@ -20,7 +21,6 @@ from corrsense.experiments import EXPERIMENTS
 
 
 def cfg(experiment, **overrides):
-    from dataclasses import replace
     return replace(default_config(experiment), **overrides)
 
 
@@ -228,6 +228,36 @@ class TestInvariantEnforcement:
             SweepPoint(4, 1.0, 0.5), SweepPoint(4, 2.0, 0.6)))
         with pytest.raises(SweepInvariantError):
             _assert_fig5([bad])
+
+    @pytest.mark.parametrize("runner, config", [
+        (run_fig6, cfg("fig6", m_values=(4, 3))),
+        (run_fig9, cfg("fig9", m_values=(4, 3), runs=3))])
+    def test_every_sweep_checks_its_values_increase(self, runner, config):
+        with pytest.raises(SweepInvariantError, match="not strictly increasing"):
+            runner(config)
+
+
+class TestSweepDriver:
+    """The batched sweep driver against one closed_form_accuracy call per
+    point and theta1, on the same circle_cluster or grid_cluster."""
+
+    @pytest.mark.parametrize("runner, experiment, noise_profile, geometry", [
+        (run_fig5, "fig5", "default", lambda p: circle_cluster(4, p.value)),
+        (run_fig5, "fig5", "noiseless", lambda p: circle_cluster(4, p.value)),
+        (run_fig8, "fig8", "default", lambda p: grid_cluster(p.m)),
+        (run_fig8, "fig8", "noiseless", lambda p: grid_cluster(p.m)),
+        (run_fig6, "fig6", "default", lambda p: circle_cluster(p.m, 5.0)),
+    ])
+    def test_equals_per_point_closed_form_bit_for_bit(
+            self, runner, experiment, noise_profile, geometry):
+        config = cfg(experiment, noise_profile=noise_profile)
+        results = runner(config)
+        assert [r.theta1 for r in results] == list(config.theta1_values)
+        for r in results:
+            params = replace(config.params, theta1=r.theta1)
+            expected = [closed_form_accuracy(geometry(p), config.betas(),
+                                             params).d_a for p in r.points]
+            assert [p.d_a for p in r.points] == expected
 
 
 class TestSerializationFormats:

@@ -26,7 +26,10 @@ def deployments(draw):
                          draw(st.floats(0.0, field.height))) for _ in range(n)]
 
     ids = st.lists(st.integers(1, 10 ** 6), max_size=6, unique=True)
-    head_ids, normal_ids, point_ids = draw(ids), draw(ids), draw(ids)
+    head_ids, normal_ids = draw(ids), draw(ids)
+    # a tracing point takes the id of the head it serves
+    point_ids = draw(st.lists(st.sampled_from(head_ids), unique=True)) \
+        if head_ids else []
     return Deployment(
         field=field,
         heads=tuple(Node(i, NodeKind.CLUSTER_HEAD, p)
