@@ -34,34 +34,3 @@ from .experiments import (ExperimentConfig, SweepPoint, SweepResult,
 from .spatial_stats import (CorrelationParams, EmpiricalStats,
                             cluster_count_bound, empirical_correlation,
                             is_strongly_correlated, kernel, max_cluster_radius)
-
-__all__ = [
-    "__version__",
-    # spatial statistics
-    "CorrelationParams", "EmpiricalStats", "empirical_correlation", "kernel",
-    "is_strongly_correlated", "max_cluster_radius", "cluster_count_bound",
-    # deployment
-    "FieldSpec", "Position", "Node", "NodeKind", "TracingPoint", "Deployment",
-    "deploy_grid_heads", "deploy_random_normals", "place_nodes",
-    "assign_tracing_points", "build_grid_deployment", "deployment_to_text",
-    "deployment_from_text",
-    # clustering
-    "Cluster", "ClusterAssignment", "ClusterGeometry", "assign_clusters",
-    "cluster_geometry", "geometry_from_points", "assignment_to_csv",
-    "assignment_kernel_diagnostics",
-    # accuracy
-    "NoiseModel", "BetaFactors", "ReadingSample", "EstimateSet",
-    "AccuracyReport", "beta_factors", "simulate_reading", "estimate",
-    "closed_form_accuracy", "monte_carlo_accuracy", "accuracy_for_assignment",
-    "reports_to_csv", "reports_to_json",
-    # experiments
-    "ExperimentConfig", "SweepPoint", "SweepResult", "default_config",
-    "circle_cluster", "grid_cluster", "run_setup1", "run_setup2", "run_fig5",
-    "run_fig6", "run_fig8", "run_fig9", "run_optimal", "find_optimal_cluster",
-    "run_experiment_csv", "run_experiment_json",
-    # errors
-    "SimulationError", "LengthMismatchError", "DegenerateWindowError",
-    "OutOfFieldError", "DuplicateNodeError", "NoHeadsError", "UnknownNodeError",
-    "NotPositiveDefiniteError", "MissingTracingPointError", "NoPlateauError",
-    "SweepInvariantError", "InvalidConfigError", "NonFiniteCoordinateError",
-]

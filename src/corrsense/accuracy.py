@@ -36,7 +36,7 @@ import numpy as np
 
 from .clustering import (ClusterAssignment, ClusterGeometry, cluster_geometry,
                          point_distances)
-from .deployment import Deployment, TracingPoint
+from .deployment import Deployment, TracingPoint, _index_by_id
 from .errors import MissingTracingPointError, NotPositiveDefiniteError
 from .spatial_stats import CorrelationParams, kernel
 
@@ -350,9 +350,10 @@ def accuracy_for_assignment(assignment: ClusterAssignment,
     """One report per cluster (head-id order), each against its tracing point.
 
     Both methods report distortion in units of `noise.sigma_s2`; without a
-    noise model the closed form takes sigma_s2 = 1.
+    noise model the closed form takes sigma_s2 = 1. A tracing-point id
+    given twice raises DuplicateNodeError.
     """
-    by_id = {tp.id: tp for tp in tracing_points}
+    by_id = _index_by_id(tracing_points, "tracing point")
     sigma_s2 = 1.0 if noise is None else noise.sigma_s2
     reports = []
     for cluster in sorted(assignment.clusters, key=lambda c: c.head_id):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Dict, Optional, Sequence
 
@@ -158,9 +158,8 @@ def _run(command: str, given: Dict[str, object]) -> str:
     if command == "cluster":
         assignment = assign_clusters(dep)
         if opts["format"] == "json":
-            rows = [{"head_id": c.head_id, "members": list(c.members)}
-                    for c in assignment.clusters]
-            return json.dumps(rows, indent=2) + "\n"
+            return json.dumps([asdict(c) for c in assignment.clusters],
+                              indent=2) + "\n"
         return assignment_to_csv(assignment)
     params = CorrelationParams(opts["theta1"], opts["theta2"], opts["tau"])
     noise = NOISE_PROFILES[opts["noise_profile"]]()

@@ -89,6 +89,9 @@ class Deployment:
     grid: Optional[Tuple[int, int]] = None
 
     def __post_init__(self):
+        if self.grid is not None and min(self.grid) < 1:
+            raise ValueError(f"grid needs at least 1 row and 1 column, "
+                             f"got {self.grid[0]} x {self.grid[1]}")
         for kind, nodes in ((NodeKind.CLUSTER_HEAD, self.heads),
                             (NodeKind.NORMAL, self.normals)):
             for node in nodes:
@@ -206,6 +209,10 @@ def _cell_tracing_points(field: FieldSpec, heads: Sequence[Node],
                          grid: Tuple[int, int], seed: int) -> Tuple[TracingPoint, ...]:
     """One tracing point uniform in each head's grid cell, in head-id order."""
     rows, cols = grid
+    for head in heads:
+        if not 1 <= head.id <= rows * cols:
+            raise ValueError(f"head CH{head.id} has no cell in a "
+                             f"{rows} x {cols} grid")
     cell_w = field.width / cols
     cell_h = field.height / rows
     rng = np.random.default_rng(np.random.SeedSequence((seed, _TAG_TRACING)))

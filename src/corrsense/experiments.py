@@ -16,7 +16,8 @@ plus `optimal`, which locates the smallest cluster size whose accuracy
 already sits on a sweep's terminal plateau. Structural properties of each
 sweep (monotonicity, the 2-to-3 node jump, terminal plateaus) are asserted
 after every run and violation fails the run. EXPERIMENTS holds each run's
-defaults, the settings it reads, its runner and its CSV and JSON writers.
+defaults, the settings it reads, its runner and its CSV writer. A row's
+fields are named as its CSV columns, and its JSON form is asdict(row).
 """
 
 from __future__ import annotations
@@ -127,14 +128,14 @@ class SweepResult:
 @dataclass(frozen=True)
 class ClusterTableRow:
     head_id: int
-    member_ids: Tuple[int, ...]
+    members: Tuple[int, ...]
     d_a: float
 
 
 @dataclass(frozen=True)
 class AverageRow:
     head_id: int
-    d_a: float
+    avg_d_a: float
 
 
 def _provenance(config: ExperimentConfig) -> dict:
@@ -175,19 +176,16 @@ def _child_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence((seed,) + key).generate_state(1, np.uint64)[0])
 
 
-def circle_cluster(m: int, radius: float,
-                   center: Tuple[float, float] = (0.0, 0.0)) -> ClusterGeometry:
-    """m nodes equally spaced on a circle around the tracing point.
+def circle_cluster(m: int, radius: float) -> ClusterGeometry:
+    """m nodes equally spaced on a circle around the tracing point (origin).
 
     The head sits at angle 0; members follow counterclockwise.
     """
     if m < 1:
         raise ValueError("need at least the head node")
-    cx, cy = center
     angles = [2.0 * math.pi * k / m for k in range(m)]
-    pts = [Position(cx + radius * math.cos(a), cy + radius * math.sin(a))
-           for a in angles]
-    return geometry_from_points(Position(cx, cy), pts[0], pts[1:])
+    pts = [Position(radius * math.cos(a), radius * math.sin(a)) for a in angles]
+    return geometry_from_points(Position(0.0, 0.0), pts[0], pts[1:])
 
 
 def region_grid_order() -> List[Tuple[float, float]]:
@@ -247,7 +245,7 @@ def run_setup2(config: ExperimentConfig) -> List[AverageRow]:
     for run in range(config.runs):
         for row in _setup_run(config, run=run):
             totals[row.head_id] = totals.get(row.head_id, 0.0) + row.d_a
-    return [AverageRow(head_id=h, d_a=totals[h] / config.runs)
+    return [AverageRow(head_id=h, avg_d_a=totals[h] / config.runs)
             for h in sorted(totals)]
 
 
@@ -462,33 +460,24 @@ def _assert_fig9(results: Sequence[SweepResult]) -> None:
 
 # --- CSV emission -----------------------------------------------------------
 
-def setup1_to_csv(rows: Sequence[ClusterTableRow],
-                  config: ExperimentConfig) -> str:
-    lines = _echo_lines(config) + ["head,members,d_a"]
-    for row in rows:
-        members = ";".join(str(i) for i in row.member_ids)
-        lines.append(f"CH{row.head_id},{members},{row.d_a:.6f}")
-    return "\n".join(lines) + "\n"
+def setup1_to_csv(rows: Sequence[ClusterTableRow]) -> List[str]:
+    return ["head,members,d_a"] + [
+        f"CH{r.head_id},{';'.join(map(str, r.members))},{r.d_a:.6f}"
+        for r in rows]
 
 
-def setup2_to_csv(rows: Sequence[AverageRow], config: ExperimentConfig) -> str:
-    lines = _echo_lines(config) + ["head,avg_d_a"]
-    for row in rows:
-        lines.append(f"CH{row.head_id},{row.d_a:.6f}")
-    return "\n".join(lines) + "\n"
+def setup2_to_csv(rows: Sequence[AverageRow]) -> List[str]:
+    return ["head,avg_d_a"] + [f"CH{r.head_id},{r.avg_d_a:.6f}" for r in rows]
 
 
-def sweeps_to_csv(results: Sequence[SweepResult],
-                  config: ExperimentConfig) -> str:
+def sweeps_to_csv(results: Sequence[SweepResult]) -> List[str]:
     has_err = any(p.std_err is not None for r in results for p in r.points)
     sweep = results[0].sweep if results else "value"
     value_col = "" if sweep == "m" else f",{sweep}"  # node count is the value
-    header = f"theta1,m{value_col},d_a" + (",std_err" if has_err else "")
-    lines = _echo_lines(config)
-    for r in sorted(results, key=lambda r: r.theta1):
-        lines.extend(f"# {note}" for note in r.notes)
-    lines.append(header)
-    for r in sorted(results, key=lambda r: r.theta1):
+    results = sorted(results, key=lambda r: r.theta1)
+    lines = [f"# {note}" for r in results for note in r.notes]
+    lines.append(f"theta1,m{value_col},d_a" + (",std_err" if has_err else ""))
+    for r in results:
         for p in r.points:
             row = f"{r.theta1:g},{p.m}"
             if value_col:
@@ -497,16 +486,13 @@ def sweeps_to_csv(results: Sequence[SweepResult],
             if has_err:
                 row += f",{0.0 if p.std_err is None else p.std_err:.6f}"
             lines.append(row)
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def optimal_to_csv(rows: Sequence[OptimalRow],
-                   config: ExperimentConfig) -> str:
-    lines = _echo_lines(config) + ["experiment,theta1,epsilon,optimal_m,final_d_a"]
-    for row in rows:
-        lines.append(f"{row.experiment},{row.theta1:g},{row.epsilon:g},"
-                     f"{row.optimal_m},{row.final_d_a:.6f}")
-    return "\n".join(lines) + "\n"
+def optimal_to_csv(rows: Sequence[OptimalRow]) -> List[str]:
+    return ["experiment,theta1,epsilon,optimal_m,final_d_a"] + [
+        f"{r.experiment},{r.theta1:g},{r.epsilon:g},{r.optimal_m},"
+        f"{r.final_d_a:.6f}" for r in rows]
 
 
 # --- registry -----------------------------------------------------------------
@@ -514,9 +500,8 @@ def optimal_to_csv(rows: Sequence[OptimalRow],
 class Experiment(NamedTuple):
     defaults: dict  # ExperimentConfig fields that differ from the class defaults
     reads: Tuple[str, ...]  # settings the runner uses (params split per field)
-    run: Callable
-    to_csv: Callable
-    to_rows: Callable = lambda rows: [asdict(r) for r in rows]  # JSON rows
+    run: Callable  # config -> rows, each a dataclass
+    to_csv: Callable  # rows -> CSV lines below the provenance header
 
 
 _MODEL_READS = ("theta2", "tau", "noise_profile")
@@ -525,14 +510,10 @@ _FIELD_READS = ("seed", "theta1", "field_width", "field_height", "grid_rows",
 _FIG9_M = (2, 3, 4, 5, 6, 8, 10, 12, 15, 20, 25, 30, 40, 50, 60, 80, 100)
 
 EXPERIMENTS: Dict[str, Experiment] = {
-    "setup1": Experiment(
-        {}, _MODEL_READS + _FIELD_READS, run_setup1, setup1_to_csv,
-        lambda rows: [{"head_id": r.head_id, "members": list(r.member_ids),
-                       "d_a": r.d_a} for r in rows]),
-    "setup2": Experiment(
-        dict(runs=100), _MODEL_READS + _FIELD_READS + ("runs",), run_setup2,
-        setup2_to_csv,
-        lambda rows: [{"head_id": r.head_id, "avg_d_a": r.d_a} for r in rows]),
+    "setup1": Experiment({}, _MODEL_READS + _FIELD_READS, run_setup1,
+                         setup1_to_csv),
+    "setup2": Experiment(dict(runs=100), _MODEL_READS + _FIELD_READS + ("runs",),
+                         run_setup2, setup2_to_csv),
     "fig5": Experiment(
         dict(theta1_values=(50.0, 100.0),
              radius_values=(1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0,
@@ -562,12 +543,13 @@ EXPERIMENTS: Dict[str, Experiment] = {
 def run_experiment_csv(config: ExperimentConfig) -> str:
     """Run the configured experiment and render its canonical CSV."""
     experiment = _lookup(config.experiment)
-    return experiment.to_csv(experiment.run(config), config)
+    lines = _echo_lines(config) + experiment.to_csv(experiment.run(config))
+    return "\n".join(lines) + "\n"
 
 
 def run_experiment_json(config: ExperimentConfig) -> str:
     """Run the configured experiment and render its rows as JSON."""
     experiment = _lookup(config.experiment)
     payload = {"config": _provenance(config),
-               "rows": experiment.to_rows(experiment.run(config))}
+               "rows": [asdict(row) for row in experiment.run(config)]}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -64,6 +64,8 @@ def empirical_correlation(a: Sequence[float], b: Sequence[float]) -> EmpiricalSt
         raise ValueError("reading windows need at least 2 samples each")
     if xa.size != xb.size:
         raise LengthMismatchError(f"window lengths differ: {xa.size} vs {xb.size}")
+    if not (np.isfinite(xa).all() and np.isfinite(xb).all()):
+        raise DegenerateWindowError("non-finite reading in window")
     n = xa.size
     mean_a = float(xa.mean())
     mean_b = float(xb.mean())
@@ -90,7 +92,7 @@ def kernel(d: ArrayLike, params: CorrelationParams) -> Union[float, np.ndarray]:
     Equals 1 at d = 0 and decreases strictly to 0. Accepts scalars or arrays.
     """
     dist = np.asarray(d, dtype=float)
-    if np.any(dist < 0):
+    if not np.all(dist >= 0):  # also refuses NaN
         raise ValueError("distance must be nonnegative")
     out = np.exp(-((dist / params.theta1) ** params.theta2))
     return float(out) if np.isscalar(d) or dist.ndim == 0 else out
@@ -113,7 +115,8 @@ def cluster_count_bound(field_side: float, params: CorrelationParams) -> int:
     k**2 + (k+1)**2: k aligned rows plus the offset rows covering the gaps.
     Non-decreasing in tau, non-increasing in theta1.
     """
-    if not field_side > 0:
-        raise ValueError(f"field side must be positive, got {field_side}")
+    if not 0 < field_side < math.inf:
+        raise ValueError(f"field side must be positive and finite, "
+                         f"got {field_side}")
     k = math.floor(field_side / (2.0 * max_cluster_radius(params)))
     return k * k + (k + 1) * (k + 1)

@@ -149,7 +149,7 @@ def test_criterion_08_table_ranges():
         f"range [{min(r.d_a for r in rows):.4f}, {max(r.d_a for r in rows):.4f}]"
     averages = run_setup2(default_config("setup2"))
     assert len(averages) == 25
-    assert all(0.6 < r.d_a < 1.0 for r in averages)
+    assert all(0.6 < r.avg_d_a < 1.0 for r in averages)
     _report(8, "setup1 in (0.6, 0.95), setup2 averages in (0.6, 1.0)")
 
 

@@ -9,7 +9,8 @@ from pytest import approx
 
 import corrsense.accuracy as accuracy_module
 from corrsense import (BetaFactors, Cluster, ClusterAssignment,
-                       CorrelationParams, EstimateSet, FieldSpec,
+                       CorrelationParams, DuplicateNodeError, EstimateSet,
+                       FieldSpec,
                        MissingTracingPointError, Node, NodeKind, NoiseModel,
                        Position, ReadingSample, UnknownNodeError,
                        accuracy_for_assignment,
@@ -18,7 +19,7 @@ from corrsense import (BetaFactors, Cluster, ClusterAssignment,
                        closed_form_accuracy, Deployment, empirical_correlation,
                        estimate, geometry_from_points, monte_carlo_accuracy,
                        place_nodes, reports_to_csv, reports_to_json,
-                       simulate_reading)
+                       simulate_reading, TracingPoint)
 from corrsense.accuracy import (_MC_CHUNK, _PAIR_BLOCK, _closed_form_batch,
                                 _fold_moments)
 from corrsense.accuracy import _cholesky_with_jitter
@@ -563,6 +564,15 @@ class TestAccuracyForAssignment:
                 beta_factors(NoiseModel.default_profile()),
                 CorrelationParams(100.0, 1.0, 0.6))
 
+
+    def test_repeated_tracing_point_id(self):
+        dep = build_grid_deployment(FieldSpec(120, 120), 2, 2, 20, seed=3)
+        extra = TracingPoint(1, Position(100.0, 100.0))
+        with pytest.raises(DuplicateNodeError, match="tracing point id 1"):
+            accuracy_for_assignment(
+                assign_clusters(dep), dep, dep.tracing_points + (extra,),
+                beta_factors(NoiseModel.default_profile()),
+                CorrelationParams(100.0, 1.0, 0.6))
 
     def test_tracing_points_given_by_position_serve_their_heads(self):
         field = FieldSpec(30, 30)

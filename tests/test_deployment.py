@@ -161,6 +161,15 @@ class TestTracingPoints:
         with pytest.raises(ValueError, match="one tracing point position per head"):
             assign_tracing_points(dep, positions=[(1.0, 1.0)] * count)
 
+    def test_random_mode_refuses_a_head_with_no_grid_cell(self):
+        field = FieldSpec(10, 10)
+        dep = Deployment(field=field, normals=(), grid=(1, 1),
+                         heads=place_nodes(field, [
+                             (NodeKind.CLUSTER_HEAD, (5.0, 5.0)),
+                             (NodeKind.CLUSTER_HEAD, (2.0, 2.0))]))
+        with pytest.raises(ValueError, match="CH2 has no cell"):
+            assign_tracing_points(dep, seed=1)
+
     def test_random_mode_needs_grid(self):
         dep = Deployment(field=FieldSpec(30, 30),
                          heads=place_nodes(FieldSpec(30, 30),
@@ -198,6 +207,11 @@ class TestDeployment:
     def test_rejects_node_of_the_wrong_kind(self, heads, normals):
         with pytest.raises(ValueError, match="listed as"):
             Deployment(field=FieldSpec(10, 10), heads=heads, normals=normals)
+
+    @pytest.mark.parametrize("grid", [(0, 0), (-2, 3), (0, 5), (4, 0)])
+    def test_rejects_grid_below_one_cell(self, grid):
+        with pytest.raises(ValueError, match="grid needs"):
+            Deployment(field=FieldSpec(10, 10), heads=(), normals=(), grid=grid)
 
     def test_rejects_tracing_point_without_head(self):
         head = Node(1, NodeKind.CLUSTER_HEAD, Position(5.0, 5.0))

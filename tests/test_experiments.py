@@ -1,4 +1,5 @@
 import json
+import re
 import runpy
 import sys
 from dataclasses import fields, replace
@@ -29,7 +30,7 @@ class TestSetup1:
         rows = run_setup1(default_config("setup1"))
         assert len(rows) == 25
         assert [r.head_id for r in rows] == list(range(1, 26))
-        members = [i for r in rows for i in r.member_ids]
+        members = [i for r in rows for i in r.members]
         assert sorted(members) == list(range(1, 101))
 
     def test_accuracy_band(self):
@@ -57,18 +58,18 @@ class TestSetup2:
         ones = run_setup2(cfg("setup2", runs=1))
         base = {r.head_id: r.d_a for r in run_setup1(default_config("setup1"))}
         for row in ones:
-            assert row.d_a == approx(base[row.head_id], abs=1e-15)
+            assert row.avg_d_a == approx(base[row.head_id], abs=1e-15)
 
     def test_average_band(self):
         rows = run_setup2(cfg("setup2", runs=25))
         assert len(rows) == 25
-        assert all(0.6 < r.d_a < 1.0 for r in rows)
+        assert all(0.6 < r.avg_d_a < 1.0 for r in rows)
 
     def test_reproducible(self):
         config = cfg("setup2", runs=10)
         a = run_setup2(config)
         b = run_setup2(config)
-        assert all(x.d_a == y.d_a for x, y in zip(a, b))
+        assert all(x.avg_d_a == y.avg_d_a for x, y in zip(a, b))
 
     def test_rejects_zero_runs(self):
         with pytest.raises(ValueError):
@@ -285,6 +286,41 @@ class TestSerializationFormats:
         body = [l for l in text.splitlines() if not l.startswith("#")]
         assert body[0] == "theta1,m,radius,d_a"
         assert len(body) == 1 + 2 * 10
+
+
+def as_written(value, cell):
+    """A JSON value in the format its CSV cell uses."""
+    if isinstance(value, list):
+        return ";".join(map(str, value))
+    if isinstance(value, (str, int)):
+        return str(value)
+    return f"{value:.6f}" if re.fullmatch(r"-?\d+\.\d{6}", cell) else f"{value:g}"
+
+
+# CSV columns whose JSON field has another name
+JSON_FIELD = {"head": "head_id", "radius": "value", "density": "value"}
+
+
+class TestJsonRowsAreCsvRows:
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_same_rows_and_values(self, name):
+        config = default_config(name)
+        body = [l.split(",") for l in run_experiment_csv(config).splitlines()
+                if not l.startswith("#")]
+        header, lines = body[0], body[1:]
+        rows = json.loads(run_experiment_json(config))["rows"]
+        if "points" in rows[0]:  # a sweep: one CSV line per point
+            rows = [dict(p, theta1=r["theta1"])
+                    for r in sorted(rows, key=lambda r: r["theta1"])
+                    for p in r["points"]]
+        assert len(lines) == len(rows)
+        for line, row in zip(lines, rows):
+            assert len(line) == len(header)
+            for column, cell in zip(header, line):
+                expected = as_written(row[JSON_FIELD.get(column, column)], cell)
+                if column == "head":
+                    expected = "CH" + expected
+                assert cell == expected, (column, row)
 
 
 class TestConfigValidation:

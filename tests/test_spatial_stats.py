@@ -64,6 +64,12 @@ class TestEmpiricalCorrelation:
         with pytest.raises(ValueError):
             empirical_correlation([1], [2])
 
+    @pytest.mark.parametrize("a, b", [([1, 2, math.nan], [1, 2, 3]),
+                                      ([1, 2, 3], [1, math.inf, 3])])
+    def test_non_finite_window(self, a, b):
+        with pytest.raises(DegenerateWindowError):
+            empirical_correlation(a, b)
+
     @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=2,
                     max_size=40),
            st.lists(st.floats(min_value=-100, max_value=100), min_size=2,
@@ -111,6 +117,11 @@ class TestKernel:
     def test_rejects_negative_distance(self):
         with pytest.raises(ValueError):
             kernel(-1.0, CorrelationParams(50, 1, 0.5))
+        with pytest.raises(ValueError):
+            kernel(math.nan, CorrelationParams(50, 1, 0.5))
+
+    def test_infinite_distance_is_uncorrelated(self):
+        assert kernel(math.inf, CorrelationParams(50, 1, 0.5)) == 0.0
 
     @given(params_st(),
            st.floats(min_value=0.0, max_value=100.0),
@@ -169,8 +180,9 @@ class TestClusterCountBound:
         assert cluster_count_bound(99.9, p) == 1
 
     def test_rejects_nonpositive_field(self):
-        with pytest.raises(ValueError):
-            cluster_count_bound(0.0, CorrelationParams(50, 1, 0.5))
+        for side in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                cluster_count_bound(side, CorrelationParams(50, 1, 0.5))
 
     @given(st.floats(min_value=1.0, max_value=200.0),
            st.floats(min_value=0.25, max_value=2.0),

@@ -96,6 +96,7 @@ def workdir(tmp_path_factory):
 @example(record="field,inf,7", at=0, command="accuracy")
 @example(record="field,7,1e999", at=3, command="cluster")
 @example(record="grid,1,1", at=7, command="cluster")
+@example(record="grid,0,5", at=3, command="cluster")
 @settings(max_examples=80, deadline=None)
 def test_malformed_record_exits_2_without_traceback(workdir, record, at,
                                                     command):
