@@ -13,35 +13,29 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Dict, Optional, Sequence
 
 from ._version import __version__
-from .accuracy import (accuracy_for_assignment, beta_factors, reports_to_csv,
-                       reports_to_json)
+from .accuracy import accuracy_for_assignment, reports_to_csv, reports_to_json
 from .clustering import assign_clusters, assignment_to_csv
 from .deployment import (FieldSpec, build_grid_deployment, deployment_from_text,
                          deployment_to_text)
 from .errors import SimulationError
-from .experiments import (EXPERIMENTS, NOISE_PROFILES, default_config,
-                          run_experiment_csv, run_experiment_json)
-from .spatial_stats import CorrelationParams
+from .experiments import (EXPERIMENTS, NOISE_PROFILES, ExperimentConfig,
+                          default_config, run_experiment_csv,
+                          run_experiment_json)
 
-# key -> (type, default); a tuple type lists the allowed values. `experiment`
-# takes its defaults from the experiment's own config instead.
+# key -> type; a tuple lists the allowed values. No default is kept here:
+# see ExperimentConfig, the registry and accuracy_for_assignment.
 _OPTIONS = {
-    "seed": (int, 7),
-    "width": (float, 120.0), "height": (float, 120.0),
-    "grid_rows": (int, 5), "grid_cols": (int, 5), "normals": (int, 100),
-    "deployment": (str, None),
-    "theta1": (float, 100.0), "theta2": (float, 1.0), "tau": (float, 0.6),
-    "noise_profile": (tuple(NOISE_PROFILES), "default"),
-    "method": (("closed_form", "monte_carlo"), "closed_form"),
-    "samples": (int, 100_000),
-    "runs": (int, None), "epsilon": (float, None),
-    "format": (("csv", "json"), "csv"),
-    "out": (str, None),
+    "seed": int, "width": float, "height": float, "grid_rows": int,
+    "grid_cols": int, "normals": int, "deployment": str,
+    "theta1": float, "theta2": float, "tau": float,
+    "noise_profile": tuple(NOISE_PROFILES),
+    "method": ("closed_form", "monte_carlo"), "samples": int,
+    "runs": int, "epsilon": float, "format": ("csv", "json"), "out": str,
 }
 
 _FIELD = ("seed", "width", "height", "grid_rows", "grid_cols", "normals")
@@ -63,6 +57,7 @@ _COMMANDS = {
 # option keys whose ExperimentConfig setting has another name
 _SETTINGS = {"width": "field_width", "height": "field_height",
              "normals": "n_normals"}
+_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
 
 
 def _read_config_file(path: str) -> Dict[str, str]:
@@ -79,7 +74,7 @@ def _read_config_file(path: str) -> Dict[str, str]:
 
 
 def _coerce(key: str, text: str) -> object:
-    kind, _ = _OPTIONS[key]
+    kind = _OPTIONS[key]
     if isinstance(kind, tuple):
         if text not in kind:
             raise ValueError(f"{key} must be one of {', '.join(kind)}, "
@@ -128,47 +123,51 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config",
                        help="key = value file supplying any of these flags")
         for key in keys:
-            kind, _ = _OPTIONS[key]
+            kind = _OPTIONS[key]
             choices = kind if isinstance(kind, tuple) else None
             p.add_argument(f"--{key.replace('_', '-')}", dest=key,
                            type=None if choices else kind, choices=choices)
     return parser
 
 
-def _load_deployment(opts: Dict[str, object]):
-    if opts.get("deployment"):
-        return deployment_from_text(Path(opts["deployment"]).read_text())
-    return build_grid_deployment(
-        FieldSpec(opts["width"], opts["height"]), opts["grid_rows"],
-        opts["grid_cols"], opts["normals"], seed=opts["seed"])
+def _config(base: ExperimentConfig,
+            given: Dict[str, object]) -> ExperimentConfig:
+    """base with every given option that names one of its settings."""
+    settings = {_SETTINGS.get(key, key): value for key, value in given.items()}
+    return replace(base, **{key: value for key, value in settings.items()
+                            if key in _CONFIG_FIELDS})
 
 
 def _run(command: str, given: Dict[str, object]) -> str:
-    """deploy, cluster or accuracy, with table defaults for unset keys."""
-    opts = {key: given.get(key, _OPTIONS[key][1])
-            for key in _COMMANDS[command][1]}
-    monte_carlo = opts.get("method") == "monte_carlo"
+    """deploy, cluster or accuracy, with ExperimentConfig's defaults."""
+    monte_carlo = given.get("method") == "monte_carlo"
     unused = [] if monte_carlo else ["samples"]
-    if opts.get("deployment"):  # the file gives the field; MC still takes a seed
+    if given.get("deployment"):  # the file gives the field; MC still takes a seed
         unused += _FIELD[1:] if monte_carlo else _FIELD
     _reject_unused(given, unused, f"by {command} with the other options given")
-    dep = _load_deployment(opts)
+    config = _config(ExperimentConfig(command), given)
+    if given.get("deployment"):
+        dep = deployment_from_text(Path(given["deployment"]).read_text())
+    else:
+        dep = build_grid_deployment(
+            FieldSpec(config.field_width, config.field_height),
+            config.grid_rows, config.grid_cols, config.n_normals,
+            seed=config.seed)
     if command == "deploy":
         return deployment_to_text(dep)
     if command == "cluster":
         assignment = assign_clusters(dep)
-        if opts["format"] == "json":
+        if given.get("format") == "json":
             return json.dumps([asdict(c) for c in assignment.clusters],
                               indent=2) + "\n"
         return assignment_to_csv(assignment)
-    params = CorrelationParams(opts["theta1"], opts["theta2"], opts["tau"])
-    noise = NOISE_PROFILES[opts["noise_profile"]]()
+    estimator = {k: given[k] for k in ("method", "samples") if k in given}
     reports = accuracy_for_assignment(
-        assign_clusters(dep), dep, dep.tracing_points, beta_factors(noise),
-        params, method=opts["method"], noise=noise, samples=opts["samples"],
-        seed=opts["seed"])
-    if opts["format"] == "json":
-        return reports_to_json(reports, params, noise, seed=opts["seed"])
+        assign_clusters(dep), dep, dep.tracing_points, config.betas(),
+        config.params, noise=config.noise(), seed=config.seed, **estimator)
+    if given.get("format") == "json":
+        return reports_to_json(reports, config.params, config.noise(),
+                               seed=config.seed)
     return reports_to_csv(reports)
 
 
@@ -178,12 +177,7 @@ def _run_experiment(name: str, given: Dict[str, object]) -> str:
     _reject_unused(given, [key for key in given
                            if _SETTINGS.get(key, key) not in reads],
                    f"by experiment {name}")
-    settings = {_SETTINGS.get(key, key): value for key, value in given.items()
-                if key not in _OUTPUT}
-    theta = {key: settings.pop(key) for key in ("theta1", "theta2", "tau")
-             if key in settings}
-    config = default_config(name)
-    config = replace(config, params=replace(config.params, **theta), **settings)
+    config = _config(default_config(name), given)
     if given.get("format") == "json":
         return run_experiment_json(config)
     return run_experiment_csv(config)

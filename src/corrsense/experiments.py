@@ -55,7 +55,9 @@ _TAG_REGION = 20
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
-    params: CorrelationParams = CorrelationParams(theta1=100.0, theta2=1.0, tau=0.6)
+    theta1: float = 100.0
+    theta2: float = 1.0
+    tau: float = 0.6
     noise_profile: str = "default"
     seed: int = 7
     runs: int = 1
@@ -70,6 +72,7 @@ class ExperimentConfig:
     epsilon: float = 0.01
 
     def __post_init__(self):
+        self.params  # CorrelationParams refuses a bad theta1, theta2 or tau
         for name, ok, rule in (
                 ("runs", self.runs >= 1, ">= 1"),
                 ("epsilon", self.epsilon > 0, "> 0"),
@@ -87,6 +90,10 @@ class ExperimentConfig:
             if not ok:
                 raise InvalidConfigError(f"{self.experiment}: {name} must be "
                                          f"{rule}, got {getattr(self, name)!r}")
+
+    @property
+    def params(self) -> CorrelationParams:
+        return CorrelationParams(self.theta1, self.theta2, self.tau)
 
     def noise(self) -> NoiseModel:
         return NOISE_PROFILES[self.noise_profile]()
@@ -144,11 +151,9 @@ def _provenance(config: ExperimentConfig) -> dict:
     noise = config.noise()
     betas = beta_factors(noise)
     model = _model_record(config.params, noise)
-    record = {"version": __version__, "rng": RNG_NAME, **asdict(config),
-              **model["params"], "noise": model["noise"],
-              "beta": betas.beta, "beta_ch": betas.beta_ch}
-    del record["params"]  # flattened into theta1, theta2 and tau
-    return record
+    return {"version": __version__, "rng": RNG_NAME, **asdict(config),
+            **model["params"], "noise": model["noise"],
+            "beta": betas.beta, "beta_ch": betas.beta_ch}
 
 
 def _echo_lines(config: ExperimentConfig) -> List[str]:
@@ -499,7 +504,7 @@ def optimal_to_csv(rows: Sequence[OptimalRow]) -> List[str]:
 
 class Experiment(NamedTuple):
     defaults: dict  # ExperimentConfig fields that differ from the class defaults
-    reads: Tuple[str, ...]  # settings the runner uses (params split per field)
+    reads: Tuple[str, ...]  # settings the runner uses
     run: Callable  # config -> rows, each a dataclass
     to_csv: Callable  # rows -> CSV lines below the provenance header
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,11 +52,21 @@ class EmpiricalStats:
     pearson: float
 
 
+def _scaled(x: np.ndarray) -> Tuple[np.ndarray, int]:
+    """x / 2**e, with e the binary exponent of max |x|: exact, and the
+    moments of the result stay inside the float range."""
+    e = math.frexp(float(np.abs(x).max()))[1]
+    return np.ldexp(x, -e), e
+
+
 def empirical_correlation(a: Sequence[float], b: Sequence[float]) -> EmpiricalStats:
     """Sample mean/variance/covariance and Pearson coefficient of two windows.
 
     Variances and covariance use the n-1 denominator; the coefficient is
-    covariance / sqrt(var_a * var_b), so |pearson| <= 1.
+    covariance / sqrt(var_a * var_b), so |pearson| <= 1. Each window is
+    first scaled by a power of two near its largest magnitude, which is
+    exact, so any finite window gets its Pearson coefficient; var_a, var_b
+    and covariance read inf or 0 where they fall outside the float range.
     """
     xa = np.asarray(a, dtype=float)
     xb = np.asarray(b, dtype=float)
@@ -67,23 +77,20 @@ def empirical_correlation(a: Sequence[float], b: Sequence[float]) -> EmpiricalSt
     if not (np.isfinite(xa).all() and np.isfinite(xb).all()):
         raise DegenerateWindowError("non-finite reading in window")
     n = xa.size
-    mean_a = float(xa.mean())
-    mean_b = float(xb.mean())
-    da = xa - mean_a
-    db = xb - mean_b
+    (sa, ea), (sb, eb) = _scaled(xa), _scaled(xb)
+    mean_a = float(sa.mean())
+    mean_b = float(sb.mean())
+    da = sa - mean_a
+    db = sb - mean_b
+    if not (da.any() and db.any()):
+        raise DegenerateWindowError("constant window: correlation undefined")
     var_a = float(da @ da) / (n - 1)
     var_b = float(db @ db) / (n - 1)
-    if var_a <= 0.0 or var_b <= 0.0:
-        raise DegenerateWindowError("constant window: correlation undefined")
     cov = float(da @ db) / (n - 1)
-    return EmpiricalStats(
-        mean_a=mean_a,
-        mean_b=mean_b,
-        var_a=var_a,
-        var_b=var_b,
-        covariance=cov,
-        pearson=cov / math.sqrt(var_a * var_b),
-    )
+    with np.errstate(over="ignore"):  # beyond the float range reads inf
+        moments = np.ldexp([mean_a, mean_b, var_a, var_b, cov],
+                           [ea, eb, 2 * ea, 2 * eb, ea + eb]).tolist()
+    return EmpiricalStats(*moments, pearson=cov / math.sqrt(var_a * var_b))
 
 
 def kernel(d: ArrayLike, params: CorrelationParams) -> Union[float, np.ndarray]:
@@ -104,8 +111,14 @@ def is_strongly_correlated(d: float, params: CorrelationParams) -> bool:
 
 
 def max_cluster_radius(params: CorrelationParams) -> float:
-    """Largest distance still strongly correlated: theta1 * ln(1/tau)**(1/theta2)."""
-    return params.theta1 * math.log(1.0 / params.tau) ** (1.0 / params.theta2)
+    """Largest distance still strongly correlated: theta1 * ln(1/tau)**(1/theta2).
+
+    A radius beyond the float range reads inf.
+    """
+    try:
+        return params.theta1 * math.log(1.0 / params.tau) ** (1.0 / params.theta2)
+    except OverflowError:
+        return math.inf
 
 
 def cluster_count_bound(field_side: float, params: CorrelationParams) -> int:
@@ -113,10 +126,15 @@ def cluster_count_bound(field_side: float, params: CorrelationParams) -> int:
 
     With k = floor(W / 2r) and r the maximum cluster radius, the count is
     k**2 + (k+1)**2: k aligned rows plus the offset rows covering the gaps.
-    Non-decreasing in tau, non-increasing in theta1.
+    Non-decreasing in tau, non-increasing in theta1. A radius so small that
+    W / 2r leaves the float range (0 included) is refused.
     """
     if not 0 < field_side < math.inf:
         raise ValueError(f"field side must be positive and finite, "
                          f"got {field_side}")
-    k = math.floor(field_side / (2.0 * max_cluster_radius(params)))
+    diameter = 2.0 * max_cluster_radius(params)
+    if diameter == 0 or field_side / diameter == math.inf:
+        raise ValueError(f"cluster radius {diameter / 2:g} is too small to "
+                         f"count clusters in a field side of {field_side:g}")
+    k = math.floor(field_side / diameter)
     return k * k + (k + 1) * (k + 1)

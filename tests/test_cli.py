@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -284,17 +285,21 @@ class TestNoIgnoredOptions:
         code, _, err = run_cli(capsys, "cluster", "--config", str(conf))
         assert code == 2 and "xml" in err
 
-    @pytest.mark.parametrize("argv", [
-        ("experiment", "setup2", "--runs", "0"),
-        ("experiment", "optimal", "--epsilon", "0"),
-        ("experiment", "setup1", "--width", "inf"),
-        ("experiment", "setup1", "--grid-rows", "0"),
-        ("experiment", "setup1", "--normals", "-1"),
+    @pytest.mark.parametrize("argv", [  # (argv, the setting its error names)
+        (("experiment", "setup2", "--runs", "0"), "runs"),
+        (("experiment", "optimal", "--epsilon", "0"), "epsilon"),
+        (("experiment", "setup1", "--width", "inf"), "field_width"),
+        (("experiment", "setup1", "--grid-rows", "0"), "grid_rows"),
+        (("experiment", "setup1", "--normals", "-1"), "n_normals"),
+        (("deploy", "--grid-rows", "0"), "grid_rows"),
+        (("cluster", "--normals", "-1"), "n_normals"),
+        (("accuracy", "--width", "inf"), "field_width"),
     ])
     def test_invalid_experiment_setting_exits_2(self, capsys, argv):
+        argv, setting = argv
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
-        assert err.startswith("corrsense: error:")
+        assert err.startswith("corrsense: error:") and setting in err
 
 
 class TestFieldOptions:
@@ -316,6 +321,29 @@ class TestFieldOptions:
         run_cli(capsys, "deploy", *flags, "--out", str(dep))
         assert run_cli(capsys, command, "--deployment", str(dep))[1] == by_flags
         assert len(by_flags.splitlines()) == 1 + 6
+
+
+# sha256 of each subcommand's output at its defaults
+DEFAULT_OUTPUT_SHA256 = {
+    "deploy": "c4d972f4ace4b42e86b72fef7fe4e02b"
+              "59672bcc743407b4904281ffb2fb2153",
+    "cluster": "513bd59165040924f139f8e4f5ea9350"
+               "a08dedcfa4215d2bc9b0a25887a598f2",
+    "cluster --format json": "66080faa42331acbd49837bb759e3c99"
+                             "ca5d9d54130894a67aea6d95fc7efc16",
+    "accuracy": "a78ee2e90d2d638b78c187192c8d08a3"
+                "d80762cc7bf4bc54a1b0f9d19e818943",
+    "accuracy --format json": "0b955e79f192a62990404796d6cff2b9"
+                              "0f481da6d0a8e250cbd083318a00433b",
+}
+
+
+@pytest.mark.parametrize("command", list(DEFAULT_OUTPUT_SHA256))
+def test_default_output_is_pinned(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == DEFAULT_OUTPUT_SHA256[command])
 
 
 class TestRegistry:

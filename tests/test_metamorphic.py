@@ -2,8 +2,11 @@
 
 Each test transforms an input and checks how the output must change, so it
 needs no stored answer: reordering the records of a deployment text,
-scaling coordinates together with theta1, translating a field, and putting
-every node of a noiseless cluster on its tracing point.
+scaling coordinates together with theta1, translating, mirroring or
+rotating a field, relabeling its nodes, and putting every node of a
+noiseless cluster on its tracing point. One more holds the two estimators
+to each other: Monte Carlo lies within 4 standard errors of the closed
+form.
 """
 
 import contextlib
@@ -16,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrsense import (ClusterGeometry, CorrelationParams, Deployment,
-                       FieldSpec, Node, NoiseModel, Position, TracingPoint,
+                       FieldSpec, Node, NodeKind, NoiseModel, Position,
+                       TracingPoint,
                        accuracy_for_assignment, assign_clusters, beta_factors,
                        build_grid_deployment, closed_form_accuracy,
                        deployment_to_text, geometry_from_points,
@@ -143,3 +147,99 @@ def test_perfect_estimation_anchor_monte_carlo(m, x, y, theta1, seed):
                                   CorrelationParams(theta1, 1.0, 0.6),
                                   samples=200, seed=seed)
     assert abs(1.0 - report.d_a) <= 1e-9
+
+
+def _field(field, heads, normals, tracing, head_ids=None, normal_ids=None):
+    """Deployment of (x, y) pairs; tracing point k goes with head k."""
+    head_ids = head_ids or range(1, len(heads) + 1)
+    normal_ids = normal_ids or range(1, len(normals) + 1)
+    return Deployment(
+        field,
+        tuple(Node(i, NodeKind.CLUSTER_HEAD, Position(*p))
+              for i, p in zip(head_ids, heads)),
+        tuple(Node(i, NodeKind.NORMAL, Position(*p))
+              for i, p in zip(normal_ids, normals)),
+        tuple(TracingPoint(i, Position(*p)) for i, p in zip(head_ids, tracing)))
+
+
+def _d_a(dep, params, noise):
+    """head id -> closed-form d_a of each cluster."""
+    reports = accuracy_for_assignment(assign_clusters(dep), dep,
+                                      dep.tracing_points, beta_factors(noise),
+                                      params)
+    return {r.head_id: r.d_a for r in reports}
+
+
+@given(heads=st.integers(1, 8), normals=st.integers(0, 59), seed=seeds,
+       theta1=theta1s, theta2=theta2s, noise=noises, data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_relabeling_permutes_members_and_reports(heads, normals, seed, theta1,
+                                                 theta2, noise, data):
+    rng = np.random.default_rng(seed)  # random floats: no exact ties
+    layout = [rng.uniform(0.0, 120.0, size=(k, 2)).tolist()
+              for k in (heads, normals, heads)]
+    head_ids = data.draw(st.permutations(range(1, heads + 1)))
+    normal_ids = data.draw(st.permutations(range(1, normals + 1)))
+    dep = _field(FIELD, *layout)
+    renamed = _field(FIELD, *layout, head_ids=head_ids, normal_ids=normal_ids)
+    before = assign_clusters(dep).by_head
+    after = assign_clusters(renamed).by_head
+    for head, cluster in before.items():
+        assert after[head_ids[head - 1]].members == tuple(sorted(
+            normal_ids[i - 1] for i in cluster.members))
+    params = CorrelationParams(theta1, theta2, 0.6)
+    d_a, renamed_d_a = _d_a(dep, params, noise), _d_a(renamed, params, noise)
+    assert max(abs(renamed_d_a[head_ids[h - 1]] - d_a[h])
+               for h in before) <= 1e-12
+
+
+# a 64 x 64 field on a 1/8 grid: mirroring and rotating it are exact, so
+# every distance, exact ties included, is unchanged bit for bit
+SQUARE = FieldSpec(64.0, 64.0)
+
+
+def _eighths(rng, n):
+    """n points on the 1/8 grid, half of them on the 8 m lattice, where
+    exact ties between heads are common."""
+    fine = rng.integers(0, 513, size=(n, 2)) / 8.0
+    coarse = rng.integers(0, 9, size=(n, 2)) * 8.0
+    return np.where(rng.random((n, 1)) < 0.5, coarse, fine).tolist()
+
+
+def _mirror(x, y):
+    return 64.0 - x, y
+
+
+def _rotate(x, y):
+    return y, 64.0 - x
+
+
+@given(heads=st.integers(1, 8), normals=st.integers(0, 59), seed=seeds,
+       motion=st.sampled_from([_mirror, _rotate]),
+       theta1=theta1s, theta2=theta2s, noise=noises)
+@settings(max_examples=150, deadline=None)
+def test_mirror_and_rotation_keep_partition_and_d_a(heads, normals, seed,
+                                                    motion, theta1, theta2,
+                                                    noise):
+    rng = np.random.default_rng(seed)
+    layout = [_eighths(rng, k) for k in (heads, normals, heads)]
+    dep = _field(SQUARE, *layout)
+    moved = _field(SQUARE, *([motion(*p) for p in ps] for ps in layout))
+    assert assign_clusters(moved) == assign_clusters(dep)
+    params = CorrelationParams(theta1, theta2, 0.6)
+    assert _d_a(moved, params, noise) == _d_a(dep, params, noise)
+
+
+@given(m=st.integers(1, 12), seed=seeds, theta1=theta1s, theta2=theta2s)
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+def test_monte_carlo_agrees_with_closed_form(m, seed, theta1, theta2):
+    # derandomized: the same 20 clusters every run, so it cannot flake
+    noise = NoiseModel.default_profile()
+    betas = beta_factors(noise)
+    params = CorrelationParams(theta1, theta2, 0.6)
+    points = np.random.default_rng(seed).uniform(0.0, 120.0, size=(m + 1, 2))
+    geo = ClusterGeometry(0, tuple(range(1, m)), points)
+    exact = closed_form_accuracy(geo, betas, params).d_a
+    sampled = monte_carlo_accuracy(geo, betas, noise, params, samples=20_000,
+                                   seed=seed)
+    assert abs(sampled.d_a - exact) <= 4 * sampled.mc_std_error

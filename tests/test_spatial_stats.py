@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from corrsense import (CorrelationParams, DegenerateWindowError,
-                       LengthMismatchError, cluster_count_bound,
-                       empirical_correlation, is_strongly_correlated, kernel,
-                       max_cluster_radius)
+                       EmpiricalStats, LengthMismatchError,
+                       cluster_count_bound, empirical_correlation,
+                       is_strongly_correlated, kernel, max_cluster_radius)
 
 TAU_E = math.exp(-1.0)
 
@@ -35,6 +35,11 @@ class TestCorrelationParams:
 
     def test_accepts_boundary_smoothness(self):
         CorrelationParams(50.0, 2.0, 0.5)
+
+
+# readings whose unscaled moments and their products stay in the float range
+ordinary = st.one_of(st.just(0.0), st.floats(1e-50, 1e50),
+                     st.floats(-1e50, -1e-50))
 
 
 class TestEmpiricalCorrelation:
@@ -63,6 +68,43 @@ class TestEmpiricalCorrelation:
     def test_too_short(self):
         with pytest.raises(ValueError):
             empirical_correlation([1], [2])
+
+    def test_huge_window_correlates_without_overflow(self):
+        stats = empirical_correlation([1e200, -1e200, 0], [1, 2, 3])
+        assert stats.pearson == approx(-0.5, abs=1e-12)
+        assert stats.var_a == math.inf and stats.mean_a == 0.0
+
+    def test_tiny_window_is_not_constant(self):
+        stats = empirical_correlation([1e-200, 2e-200, 3e-200], [1, 2, 3])
+        assert stats.pearson == approx(1.0, abs=1e-12)
+        assert stats.mean_a == approx(2e-200, rel=1e-12)
+        assert stats.var_a == 0.0  # 1e-400 is below the float range
+
+    def test_window_near_float_max(self):
+        stats = empirical_correlation([1.5e308, 1.6e308, 1.7e308], [1, 2, 3])
+        assert stats.pearson == approx(1.0, abs=1e-12)
+        assert stats.mean_a == approx(1.6e308, rel=1e-12)
+
+    @given(st.integers(2, 30).flatmap(lambda n: st.tuples(
+        *[st.lists(ordinary, min_size=n, max_size=n)] * 2)))
+    def test_ordinary_windows_keep_their_unscaled_moments(self, windows):
+        # the power-of-two scaling is exact: bit-identical to unscaled moments
+        xa, xb = np.array(windows[0]), np.array(windows[1])
+        n = xa.size
+        da, db = xa - float(xa.mean()), xb - float(xb.mean())
+        var_a, var_b = float(da @ da) / (n - 1), float(db @ db) / (n - 1)
+        if var_a <= 0.0 or var_b <= 0.0:
+            with pytest.raises(DegenerateWindowError):
+                empirical_correlation(xa, xb)
+            return
+        cov = float(da @ db) / (n - 1)
+        assert empirical_correlation(xa, xb) == EmpiricalStats(
+            float(xa.mean()), float(xb.mean()), var_a, var_b, cov,
+            cov / math.sqrt(var_a * var_b))
+
+    def test_tiny_constant_window_is_refused(self):
+        with pytest.raises(DegenerateWindowError):
+            empirical_correlation([1, 2, 3], [3e-300] * 3)
 
     @pytest.mark.parametrize("a, b", [([1, 2, math.nan], [1, 2, 3]),
                                       ([1, 2, 3], [1, math.inf, 3])])
@@ -163,6 +205,11 @@ class TestMaxClusterRadius:
         r = max_cluster_radius(CorrelationParams(100, 2, 0.8))
         assert r == approx(47.23807270774388, abs=1e-9)
 
+    def test_radius_beyond_float_range_is_infinite(self):
+        p = CorrelationParams(50, 0.001, 1e-300)  # ln(1e300) ** 1000
+        assert max_cluster_radius(p) == math.inf
+        assert cluster_count_bound(100.0, p) == 1
+
     @given(params_st())
     @settings(max_examples=300)
     def test_kernel_at_radius_equals_tau(self, p):
@@ -178,6 +225,12 @@ class TestClusterCountBound:
     def test_small_field_single_cluster(self):
         p = CorrelationParams(50, 1, TAU_E)
         assert cluster_count_bound(99.9, p) == 1
+
+    def test_rejects_radius_that_underflows(self):
+        p = CorrelationParams(50, 0.01, 0.999999)  # r = 50 * 1e-600 = 0.0
+        assert max_cluster_radius(p) == 0.0
+        with pytest.raises(ValueError):
+            cluster_count_bound(100.0, p)
 
     def test_rejects_nonpositive_field(self):
         for side in (0.0, math.inf, math.nan):
