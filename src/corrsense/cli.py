@@ -32,14 +32,13 @@ from .experiments import (EXPERIMENTS, NOISE_PROFILES, ExperimentConfig,
 _OPTIONS = {
     "seed": int, "width": float, "height": float, "grid_rows": int,
     "grid_cols": int, "normals": int, "deployment": str,
-    "theta1": float, "theta2": float, "tau": float,
-    "noise_profile": tuple(NOISE_PROFILES),
+    "theta1": float, "theta2": float, "noise_profile": tuple(NOISE_PROFILES),
     "method": ("closed_form", "monte_carlo"), "samples": int,
     "runs": int, "epsilon": float, "format": ("csv", "json"), "out": str,
 }
 
 _FIELD = ("seed", "width", "height", "grid_rows", "grid_cols", "normals")
-_MODEL = ("theta1", "theta2", "tau", "noise_profile")
+_MODEL = ("theta1", "theta2", "noise_profile")
 _OUTPUT = ("format", "out")
 
 # subcommand -> (help, the option keys it takes)

@@ -14,7 +14,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .deployment import Deployment, Node, Position, TracingPoint
+from .deployment import (_COORDINATE_BOUND, Deployment, Node, Position,
+                         TracingPoint)
 from .errors import NoHeadsError, NonFiniteCoordinateError, UnknownNodeError
 from .spatial_stats import CorrelationParams, kernel
 
@@ -94,7 +95,9 @@ class ClusterGeometry:
 
     `points` is an (m+1, 2) array in joint order: the tracing point, the
     members in `member_ids` order, then the head. Any array-like is stored
-    as a read-only float copy, checked once for shape and finiteness.
+    as a read-only float copy, checked once for shape and for coordinates
+    that are finite with magnitude at most 2**510, so that every squared
+    distance is finite too.
     Equality and hashing compare the ids and the coordinates bit for bit.
     """
 
@@ -108,11 +111,13 @@ class ClusterGeometry:
         if pts.shape != (k + 2, 2):
             raise ValueError(f"points must have shape ({k + 2}, 2) for {k} "
                              f"members, got {pts.shape}")
-        finite = np.isfinite(pts).all(axis=1)
-        if not finite.all():
-            bad = pts[~finite][0]
+        # False for NaN and +-inf as well as for magnitudes past the bound
+        bounded = (np.abs(pts) <= _COORDINATE_BOUND).all(axis=1)
+        if not bounded.all():
+            bad = pts[~bounded][0]
             raise NonFiniteCoordinateError(
-                f"cluster coordinates must be finite, got ({bad[0]}, {bad[1]})")
+                f"cluster coordinates must be finite and at most 2**510 in "
+                f"magnitude, got ({bad[0]}, {bad[1]})")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 

@@ -28,6 +28,11 @@ class NodeKind(Enum):
     NORMAL = "N"
 
 
+# Largest |coordinate| and field side: two points within it are at most
+# 2**511 apart per axis, so dx*dx + dy*dy <= 2**1023 stays finite.
+_COORDINATE_BOUND = 2.0 ** 510
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Rectangular field of width x height meters, origin at (0, 0)."""
@@ -36,9 +41,10 @@ class FieldSpec:
     height: float
 
     def __post_init__(self):
-        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
-            raise ValueError(f"field dimensions must be finite and positive, "
-                             f"got {self.width} x {self.height}")
+        if not (0 < self.width <= _COORDINATE_BOUND
+                and 0 < self.height <= _COORDINATE_BOUND):
+            raise ValueError(f"field dimensions must be finite, positive and "
+                             f"at most 2**510, got {self.width} x {self.height}")
 
     def contains(self, x: float, y: float) -> bool:
         return 0.0 <= x <= self.width and 0.0 <= y <= self.height

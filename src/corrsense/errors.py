@@ -50,4 +50,5 @@ class InvalidConfigError(SimulationError, ValueError):
 
 
 class NonFiniteCoordinateError(SimulationError, ValueError):
-    """A coordinate is NaN or infinite."""
+    """A coordinate is NaN, infinite, or past 2**510 in magnitude, where
+    squared distances overflow."""

@@ -33,7 +33,8 @@ from ._version import __version__
 from .accuracy import (BetaFactors, NoiseModel, _closed_form_batch,
                        _model_record, accuracy_for_assignment, beta_factors)
 from .clustering import ClusterGeometry, assign_clusters, geometry_from_points
-from .deployment import RNG_NAME, FieldSpec, Position, build_grid_deployment
+from .deployment import (_COORDINATE_BOUND, RNG_NAME, FieldSpec, Position,
+                         build_grid_deployment)
 from .errors import InvalidConfigError, NoPlateauError, SweepInvariantError
 from .spatial_stats import CorrelationParams
 
@@ -74,10 +75,13 @@ class ExperimentConfig:
     def __post_init__(self):
         self.params  # CorrelationParams refuses a bad theta1, theta2 or tau
         for name, ok, rule in (
+                ("seed", self.seed >= 0, ">= 0"),
                 ("runs", self.runs >= 1, ">= 1"),
                 ("epsilon", self.epsilon > 0, "> 0"),
-                ("field_width", 0 < self.field_width < math.inf, "finite, > 0"),
-                ("field_height", 0 < self.field_height < math.inf, "finite, > 0"),
+                ("field_width", 0 < self.field_width <= _COORDINATE_BOUND,
+                 "> 0 and <= 2**510"),
+                ("field_height", 0 < self.field_height <= _COORDINATE_BOUND,
+                 "> 0 and <= 2**510"),
                 ("grid_rows", self.grid_rows >= 1, ">= 1"),
                 ("grid_cols", self.grid_cols >= 1, ">= 1"),
                 ("n_normals", self.n_normals >= 0, ">= 0"),
@@ -509,7 +513,7 @@ class Experiment(NamedTuple):
     to_csv: Callable  # rows -> CSV lines below the provenance header
 
 
-_MODEL_READS = ("theta2", "tau", "noise_profile")
+_MODEL_READS = ("theta2", "noise_profile")
 _FIELD_READS = ("seed", "theta1", "field_width", "field_height", "grid_rows",
                 "grid_cols", "n_normals")
 _FIG9_M = (2, 3, 4, 5, 6, 8, 10, 12, 15, 20, 25, 30, 40, 50, 60, 80, 100)

@@ -229,6 +229,9 @@ class TestNoIgnoredOptions:
         ("experiment", "setup2", "--epsilon", "0.1"),
         ("experiment", "setup1", "--samples", "500"),
         ("experiment", "setup1", "--deployment", "dep.txt"),
+        ("accuracy", "--tau", "0.5"),  # no run reads tau
+        ("experiment", "setup1", "--tau", "0.5"),
+        ("experiment", "fig5", "--tau", "0.3"),
     ])
     def test_flag_the_command_ignores_exits_2(self, capsys, argv):
         code, out, err = exit_code(capsys, *argv)
@@ -268,6 +271,8 @@ class TestNoIgnoredOptions:
         ("deploy", "format = json"),
         ("cluster", "noise_profile = noiseless"),
         ("accuracy", "runs = 5"),
+        ("accuracy", "tau = 0.5"),
+        ("experiment", "tau = 0.5"),
     ])
     def test_config_key_of_another_subcommand_rejected(self, tmp_path, capsys,
                                                        command, line):
@@ -294,6 +299,8 @@ class TestNoIgnoredOptions:
         (("deploy", "--grid-rows", "0"), "grid_rows"),
         (("cluster", "--normals", "-1"), "n_normals"),
         (("accuracy", "--width", "inf"), "field_width"),
+        (("accuracy", "--width", "1e200"), "field_width"),  # dx*dx overflows
+        (("deploy", "--seed", "-1"), "seed"),
     ])
     def test_invalid_experiment_setting_exits_2(self, capsys, argv):
         argv, setting = argv
@@ -362,9 +369,9 @@ class TestRegistry:
         code, out, _ = run_cli(capsys, "experiment", "setup1", "--width", "60",
                                "--height", "30", "--grid-rows", "2",
                                "--grid-cols", "2", "--normals", "10",
-                               "--tau", "0.5", "--noise-profile", "noiseless")
+                               "--theta2", "0.5", "--noise-profile", "noiseless")
         assert code == 0
         assert "# field=60x30 grid=2x2 normals=10" in out
-        assert " tau=0.5\n" in out and "# noise=noiseless " in out
+        assert " theta2=0.5 " in out and "# noise=noiseless " in out
         body = [l for l in out.splitlines() if not l.startswith("#")]
         assert len(body) == 1 + 4

@@ -309,7 +309,9 @@ class TestDiagnosticsAndCsv:
 
 
 class TestNonFiniteCoordinates:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    # past 2**510 the squared distances overflow to inf
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200,
+                                     -2.0 ** 511])
     @pytest.mark.parametrize("where", ["tracing", "head", "member"])
     def test_rejected_before_any_distance(self, bad, where):
         pts = {"tracing": Position(0, 0), "head": Position(1, 1),
@@ -318,6 +320,12 @@ class TestNonFiniteCoordinates:
         with pytest.raises(NonFiniteCoordinateError) as exc:
             geometry_from_points(pts["tracing"], pts["head"], [pts["member"]])
         assert isinstance(exc.value, SimulationError)
+
+    def test_coordinates_at_the_bound_give_finite_distances(self):
+        from corrsense.deployment import _COORDINATE_BOUND as edge
+        geo = geometry_from_points(Position(-edge, -edge), Position(edge, edge),
+                                   [Position(edge, -edge)])
+        assert np.isfinite(geo.joint_distances()).all()
 
     def test_cli_exits_2_instead_of_nan(self, tmp_path, capsys):
         from corrsense.cli import main

@@ -64,15 +64,17 @@ def test_record_order_leaves_accuracy_output_unchanged(rows, cols, normals,
     assert _accuracy_output(shuffled, fmt) == _accuracy_output(text, fmt)
 
 
-# coordinates on a millimetre grid: their differences never underflow when
-# squared, so scaling by a power of two is exact all the way to d_a
+# coordinates on a millimetre grid: scaled by 2**k for |k| <= 400, their
+# differences neither underflow nor overflow when squared and stay inside the
+# 2**510 coordinate bound, so the scaling is exact all the way to d_a
 millimetres = st.integers(-100_000, 100_000).map(lambda i: i / 1000.0)
 
 
 @given(points=st.integers(1, 12).flatmap(lambda m: st.lists(
            st.tuples(millimetres, millimetres), min_size=m + 1,
            max_size=m + 1)),
-       theta1=theta1s, theta2=theta2s, noise=noises, k=st.integers(-6, 10))
+       theta1=theta1s, theta2=theta2s, noise=noises,
+       k=st.integers(-400, 400))
 @settings(max_examples=200, deadline=None)
 def test_scaling_coordinates_and_theta1_leaves_d_a_bit_identical(
         points, theta1, theta2, noise, k):
