@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -262,6 +262,11 @@ def closed_form_accuracy(geometry: ClusterGeometry, betas: BetaFactors,
                           distortion=sigma_s2 * (1.0 - d_a), sigma_s2=sigma_s2)
 
 
+def _block_clusters(m: int) -> int:
+    """Clusters of size m in one block of the batched closed form."""
+    return max(1, _PAIR_BLOCK // (m + 1) ** 2)
+
+
 def _closed_form_batch(points: np.ndarray, betas: BetaFactors,
                        params: Sequence[CorrelationParams]) -> np.ndarray:
     """The module-doc formula for n clusters of one size m, as (n, len(params)).
@@ -274,7 +279,7 @@ def _closed_form_batch(points: np.ndarray, betas: BetaFactors,
     """
     n, m = points.shape[0], points.shape[1] - 1
     beta, beta_ch = betas.beta, betas.beta_ch
-    step = max(1, _PAIR_BLOCK // (m + 1) ** 2)  # clusters per block
+    step = _block_clusters(m)
     d_a = np.empty((n, len(params)))
     for lo in range(0, n, step):
         block = points[lo:lo + step]
@@ -289,6 +294,38 @@ def _closed_form_batch(points: np.ndarray, betas: BetaFactors,
                       + 2.0 * beta * beta_ch * k_c + beta_ch) / m ** 2
             d_a[lo:lo + step, j] = cross - second
     return d_a
+
+
+def _closed_form_by_size(geometries: Iterable[ClusterGeometry],
+                         betas: BetaFactors,
+                         params: CorrelationParams) -> np.ndarray:
+    """d_a of each geometry, in input order, scored in batches of one size.
+
+    Coordinates wait per size m until they fill one _closed_form_batch
+    block, which is then scored; what is left is scored at the end. Only
+    the coordinates are held, so memory is bounded by one block per size,
+    not by the number of geometries.
+    """
+    d_a: List[float] = []
+    pending: Dict[int, Tuple[List[int], List[np.ndarray]]] = {}
+
+    def score(m: int) -> None:
+        slots, points = pending.pop(m)
+        for slot, value in zip(slots, _closed_form_batch(
+                np.stack(points), betas, [params])[:, 0]):
+            d_a[slot] = value
+
+    for geometry in geometries:
+        m = geometry.m
+        slots, points = pending.setdefault(m, ([], []))
+        slots.append(len(d_a))
+        points.append(geometry.points)
+        d_a.append(math.nan)
+        if len(points) == _block_clusters(m):
+            score(m)
+    for m in list(pending):
+        score(m)
+    return np.array(d_a)
 
 
 def _fold_moments(total: Tuple[int, float, float],

@@ -15,7 +15,8 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DuplicateNodeError, OutOfFieldError, UnknownNodeError
+from .errors import (DuplicateNodeError, InvalidConfigError, OutOfFieldError,
+                     UnknownNodeError)
 
 RNG_NAME = "numpy-pcg64"  # recorded in report metadata for replication
 
@@ -43,8 +44,9 @@ class FieldSpec:
     def __post_init__(self):
         if not (0 < self.width <= _COORDINATE_BOUND
                 and 0 < self.height <= _COORDINATE_BOUND):
-            raise ValueError(f"field dimensions must be finite, positive and "
-                             f"at most 2**510, got {self.width} x {self.height}")
+            raise InvalidConfigError(
+                f"field dimensions must be finite, positive and at most "
+                f"2**510, got {self.width} x {self.height}")
 
     def contains(self, x: float, y: float) -> bool:
         return 0.0 <= x <= self.width and 0.0 <= y <= self.height

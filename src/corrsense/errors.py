@@ -46,7 +46,8 @@ class DuplicateNodeError(SimulationError):
 
 
 class InvalidConfigError(SimulationError, ValueError):
-    """An experiment setting lies outside its valid range."""
+    """An experiment setting or a field dimension lies outside its valid
+    range."""
 
 
 class NonFiniteCoordinateError(SimulationError, ValueError):

@@ -25,14 +25,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
 from ._version import __version__
 from .accuracy import (BetaFactors, NoiseModel, _closed_form_batch,
-                       _model_record, accuracy_for_assignment, beta_factors)
-from .clustering import ClusterGeometry, assign_clusters, geometry_from_points
+                       _closed_form_by_size, _model_record, beta_factors)
+from .clustering import (ClusterAssignment, ClusterGeometry, assign_clusters,
+                         cluster_geometry, geometry_from_points)
 from .deployment import (_COORDINATE_BOUND, RNG_NAME, FieldSpec, Position,
                          build_grid_deployment)
 from .errors import InvalidConfigError, NoPlateauError, SweepInvariantError
@@ -88,8 +90,9 @@ class ExperimentConfig:
                 ("noise_profile", self.noise_profile in NOISE_PROFILES,
                  f"one of {', '.join(NOISE_PROFILES)}"),
                 ("theta1_values", all(t > 0 for t in self.theta1_values), "> 0"),
-                ("radius_values", all(0 <= r < math.inf for r in self.radius_values),
-                 "finite, >= 0"),
+                ("radius_values",
+                 all(0 <= r <= _COORDINATE_BOUND for r in self.radius_values),
+                 ">= 0 and <= 2**510"),
                 ("m_values", all(m >= 1 for m in self.m_values), ">= 1")):
             if not ok:
                 raise InvalidConfigError(f"{self.experiment}: {name} must be "
@@ -225,23 +228,38 @@ def grid_cluster(m: int) -> ClusterGeometry:
                                 members)
 
 
-def _setup_run(config: ExperimentConfig, run: int) -> List[ClusterTableRow]:
-    dep = build_grid_deployment(
-        FieldSpec(config.field_width, config.field_height),
-        config.grid_rows, config.grid_cols, config.n_normals,
-        seed=_child_seed(config.seed, _TAG_RUN, run),
-    )
-    assignment = assign_clusters(dep)
-    reports = accuracy_for_assignment(assignment, dep, dep.tracing_points,
-                                      config.betas(), config.params)
-    members = {c.head_id: c.members for c in assignment.clusters}
-    return [ClusterTableRow(r.head_id, members[r.head_id], r.d_a)
-            for r in reports]
+def _setup_runs(config: ExperimentConfig,
+                runs: int) -> Tuple[ClusterAssignment, np.ndarray]:
+    """Run 0's assignment and the (runs, heads) d_a of every run's clusters.
+
+    Each run deploys, assigns and takes its clusters' geometries in turn,
+    heads in id order; all clusters are scored together, grouped by size.
+    """
+    first: List[ClusterAssignment] = []
+
+    def geometries() -> Iterator[ClusterGeometry]:
+        for run in range(runs):
+            dep = build_grid_deployment(
+                FieldSpec(config.field_width, config.field_height),
+                config.grid_rows, config.grid_cols, config.n_normals,
+                seed=_child_seed(config.seed, _TAG_RUN, run),
+            )
+            assignment = assign_clusters(dep)
+            if run == 0:
+                first.append(assignment)
+            for cluster in assignment.clusters:
+                yield cluster_geometry(cluster, dep,
+                                       dep.tracing_point_by_id(cluster.head_id))
+
+    d_a = _closed_form_by_size(geometries(), config.betas(), config.params)
+    return first[0], d_a.reshape(runs, -1)
 
 
 def run_setup1(config: ExperimentConfig) -> List[ClusterTableRow]:
     """Single seeded deployment: per-cluster member lists and accuracy."""
-    return _setup_run(config, run=0)
+    assignment, d_a = _setup_runs(config, runs=1)
+    return [ClusterTableRow(c.head_id, c.members, float(d))
+            for c, d in zip(assignment.clusters, d_a[0])]
 
 
 def run_setup2(config: ExperimentConfig) -> List[AverageRow]:
@@ -250,12 +268,12 @@ def run_setup2(config: ExperimentConfig) -> List[AverageRow]:
     Heads stay on the grid; normals and tracing points re-randomize each
     run. Heads left without members still contribute their own sensing.
     """
-    totals: Dict[int, float] = {}
-    for run in range(config.runs):
-        for row in _setup_run(config, run=run):
-            totals[row.head_id] = totals.get(row.head_id, 0.0) + row.d_a
-    return [AverageRow(head_id=h, avg_d_a=totals[h] / config.runs)
-            for h in sorted(totals)]
+    assignment, d_a = _setup_runs(config, runs=config.runs)
+    totals = np.zeros(d_a.shape[1])
+    for row in d_a:  # in run order; a pairwise sum would round differently
+        totals += row
+    return [AverageRow(head_id=c.head_id, avg_d_a=float(t / config.runs))
+            for c, t in zip(assignment.clusters, totals)]
 
 
 def _sweep(config: ExperimentConfig, sweep: str, xs: Sequence,

@@ -12,7 +12,8 @@ from corrsense import (BetaFactors, Cluster, ClusterAssignment,
                        CorrelationParams, DuplicateNodeError, EstimateSet,
                        FieldSpec,
                        MissingTracingPointError, Node, NodeKind, NoiseModel,
-                       Position, ReadingSample, UnknownNodeError,
+                       ClusterGeometry, Position, ReadingSample,
+                       UnknownNodeError,
                        accuracy_for_assignment,
                        assign_clusters, assign_tracing_points, beta_factors,
                        build_grid_deployment, circle_cluster,
@@ -21,7 +22,7 @@ from corrsense import (BetaFactors, Cluster, ClusterAssignment,
                        place_nodes, reports_to_csv, reports_to_json,
                        simulate_reading, TracingPoint)
 from corrsense.accuracy import (_MC_CHUNK, _PAIR_BLOCK, _closed_form_batch,
-                                _fold_moments)
+                                _closed_form_by_size, _fold_moments)
 from corrsense.accuracy import _cholesky_with_jitter
 
 P50 = CorrelationParams(50.0, 1.0, 0.6)
@@ -373,6 +374,29 @@ class TestBatchedClosedForm:
                                        betas, [P50, P400])
             assert [closed_form_accuracy(geo, betas, p).d_a
                     for p in (P50, P400)] == batch[0].tolist()
+
+
+class TestClosedFormBySize:
+    """_closed_form_by_size against closed_form_accuracy, bit for bit."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           sizes=st.lists(st.integers(1, 30), max_size=40),
+           large=st.integers(0, 7), theta2=st.sampled_from([0.5, 1.0, 2.0]),
+           betas=BATCH_BETAS)
+    @example(seed=0, sizes=[], large=0, theta2=1.0, betas=BetaFactors(0.9, 0.9))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_closed_form_accuracy(self, seed, sizes, large, theta2,
+                                         betas):
+        # m = 100 fills a block at 3 clusters, so those flush mid-stream
+        rng = np.random.default_rng(seed)
+        geometries = [
+            ClusterGeometry(i, tuple(range(1, m)),
+                            rng.uniform(0.0, 30.0, (m + 1, 2)))
+            for i, m in enumerate(rng.permutation(sizes + [100] * large))]
+        params = CorrelationParams(50.0, theta2, 0.6)
+        got = _closed_form_by_size(iter(geometries), betas, params)
+        assert got.tolist() == [closed_form_accuracy(g, betas, params).d_a
+                                for g in geometries]
 
 
 class TestMonteCarlo:

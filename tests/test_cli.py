@@ -330,7 +330,8 @@ class TestFieldOptions:
         assert len(by_flags.splitlines()) == 1 + 6
 
 
-# sha256 of each subcommand's output at its defaults
+# sha256 of each subcommand's output at its defaults; the experiments' JSON
+# rows carry full float reprs, so they pin every value bit for bit
 DEFAULT_OUTPUT_SHA256 = {
     "deploy": "c4d972f4ace4b42e86b72fef7fe4e02b"
               "59672bcc743407b4904281ffb2fb2153",
@@ -342,6 +343,20 @@ DEFAULT_OUTPUT_SHA256 = {
                 "d80762cc7bf4bc54a1b0f9d19e818943",
     "accuracy --format json": "0b955e79f192a62990404796d6cff2b9"
                               "0f481da6d0a8e250cbd083318a00433b",
+    "experiment setup1 --format json": "b1c93187f63b4f1df60d2a5541d40a82"
+                                       "3d54f5ee285de0b562670aca1b444906",
+    "experiment setup2 --format json": "a1dad57df494af045f1e923f99ab0089"
+                                       "21992c6d9b68e9799f96b3cfee93a796",
+    "experiment fig5 --format json": "22c82d79ed6c0bf430a611c2089e1f27"
+                                     "152e2258ca08c20433d7989aeabb3a3d",
+    "experiment fig6 --format json": "4dc1682e044f45870057b80c3388e29e"
+                                     "1e8fffbf6990dbd8f198bdb27d50403e",
+    "experiment fig8 --format json": "3d4b934f8435c3db1463610412dde1c9"
+                                     "ba849d92a9d3472fd1d40aa2745522e2",
+    "experiment fig9 --format json": "ef073978d8395d09dde2d73464312cbf"
+                                     "74b4e72c621095391b9c7dd5be65463f",
+    "experiment optimal --format json": "fc0aa1fb7a363e57acae6a529850681b"
+                                        "3f66f0b816467721abea79db2ce2ac04",
 }
 
 

@@ -280,6 +280,11 @@ class TestFiniteInput:
         with pytest.raises(ValueError, match="finite"):
             FieldSpec(width, height)
 
+    def test_oversized_field_is_a_simulation_error(self):
+        with pytest.raises(SimulationError) as exc:
+            deployment_from_text("field,1e300,10\nCH,1,5,5\n")
+        assert isinstance(exc.value, ValueError)
+
     @pytest.mark.parametrize("text", [
         "field,inf,10\nCH,1,5,5\nN,1,inf,5\nT,1,5,5\n",
         "field,10,nan\nCH,1,5,5\n",

@@ -2,11 +2,14 @@ import json
 import re
 import runpy
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 from corrsense import (CorrelationParams, ExperimentConfig, NoPlateauError,
@@ -16,9 +19,12 @@ from corrsense import (CorrelationParams, ExperimentConfig, NoPlateauError,
                        run_experiment_csv, run_experiment_json, run_fig5,
                        run_fig6, run_fig8, run_fig9, run_optimal, run_setup1,
                        run_setup2)
-from corrsense import InvalidConfigError, SimulationError
-from corrsense.experiments import region_grid_order
-from corrsense.experiments import EXPERIMENTS
+from corrsense import (FieldSpec, InvalidConfigError, SimulationError,
+                       accuracy_for_assignment, assign_clusters,
+                       build_grid_deployment)
+from corrsense.experiments import (_TAG_RUN, EXPERIMENTS, AverageRow,
+                                   ClusterTableRow, _child_seed,
+                                   region_grid_order)
 
 
 def cfg(experiment, **overrides):
@@ -58,7 +64,7 @@ class TestSetup2:
         ones = run_setup2(cfg("setup2", runs=1))
         base = {r.head_id: r.d_a for r in run_setup1(default_config("setup1"))}
         for row in ones:
-            assert row.avg_d_a == approx(base[row.head_id], abs=1e-15)
+            assert row.avg_d_a == base[row.head_id]
 
     def test_average_band(self):
         rows = run_setup2(cfg("setup2", runs=25))
@@ -74,6 +80,59 @@ class TestSetup2:
     def test_rejects_zero_runs(self):
         with pytest.raises(ValueError):
             run_setup2(cfg("setup2", runs=0))
+
+
+def per_run_scoring(config, run):
+    """One setup run scored cluster by cluster through accuracy_for_assignment."""
+    dep = build_grid_deployment(
+        FieldSpec(config.field_width, config.field_height), config.grid_rows,
+        config.grid_cols, config.n_normals,
+        seed=_child_seed(config.seed, _TAG_RUN, run))
+    assignment = assign_clusters(dep)
+    return assignment, accuracy_for_assignment(
+        assignment, dep, dep.tracing_points, config.betas(), config.params)
+
+
+class TestSetupScoring:
+    """Size-grouped setup scoring against per-run scoring, bit for bit."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), runs=st.integers(1, 4),
+           rows=st.integers(1, 3), cols=st.integers(1, 4),
+           normals=st.integers(0, 40),
+           profile=st.sampled_from(["default", "noiseless"]))
+    @settings(max_examples=30, deadline=None)
+    def test_rows_equal_per_run_scoring(self, seed, runs, rows, cols, normals,
+                                        profile):
+        config = cfg("setup2", seed=seed, runs=runs, grid_rows=rows,
+                     grid_cols=cols, n_normals=normals, noise_profile=profile)
+        scored = [per_run_scoring(config, run) for run in range(runs)]
+        assignment, reports = scored[0]
+        members = {c.head_id: c.members for c in assignment.clusters}
+        assert run_setup1(replace(config, experiment="setup1")) == [
+            ClusterTableRow(r.head_id, members[r.head_id], r.d_a)
+            for r in reports]
+        totals = {}
+        for _, reports in scored:
+            for r in reports:
+                totals[r.head_id] = totals.get(r.head_id, 0.0) + r.d_a
+        assert run_setup2(config) == [AverageRow(h, totals[h] / runs)
+                                      for h in sorted(totals)]
+
+    def test_memory_does_not_grow_with_runs(self):
+        # one cluster of m = 100 per run: a block holds 3 of them
+        config = cfg("setup2", grid_rows=1, grid_cols=1, n_normals=99)
+
+        def peak(runs):
+            tracemalloc.start()
+            try:
+                run_setup2(replace(config, runs=runs))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(3)  # warm-up
+        small, large = peak(100), peak(1000)
+        assert large <= 1.25 * small, (small, large)
 
 
 class TestFig5:
@@ -339,6 +398,7 @@ class TestConfigValidation:
         ("fig5", dict(radius_values=(1.0, -1.0))),
         ("fig5", dict(radius_values=(float("inf"),))),
         ("fig9", dict(m_values=(0, 2))),
+        ("fig5", dict(radius_values=(1e300,))),
     ])
     def test_rejects_out_of_range_setting(self, experiment, overrides):
         with pytest.raises(InvalidConfigError) as exc:
